@@ -53,8 +53,8 @@ QOR_THREADS=4 ./target/release/qor-bench --smoke --out /tmp/qor_bench4.json >/de
 cmp /tmp/qor_bench1.json /tmp/qor_bench4.json
 rm -f /tmp/qor_bench1.json /tmp/qor_bench4.json
 
-# Incremental-engine gate: the sweep prepares every candidate through the
-# query database, the plain LRU, and from scratch, and aborts on any
+# Incremental-engine gate: the sweep prepares every candidate through its
+# kernel's query database and from scratch, and aborts on any
 # digest divergence — so a clean exit IS the cold-vs-incremental
 # byte-identity proof. Run at both worker counts and require the appended
 # trajectories (timings nulled in smoke) to be byte-identical too. The
@@ -118,6 +118,13 @@ QOR_THREADS=1 ./target/release/qor-search --self-test
 
 echo "==> qor-search --self-test (QOR_THREADS=4)"
 QOR_THREADS=4 ./target/release/qor-search --self-test
+
+# Benchmark compile-and-test gate: benchmark/ is a separate package that
+# uses the workspace crates only through public items, so a change to a
+# type it compiles against (CacheStats, Session, ...) fails here rather
+# than in a benchmark run.
+echo "==> benchmark tests"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 # Library crates expose typed errors (qor_core::QorError, kernels::KernelError);
 # Box<dyn Error> is only tolerated inside comments (doctest scaffolding) and

@@ -1,5 +1,5 @@
 //! `qor-bench incr_sweep` — amortized prepare cost on pragma-neighbor
-//! sweeps: cold vs warm (LRU) vs incremental (query database).
+//! sweeps: cold vs incremental (query database).
 //!
 //! The workload mirrors the evaluation stream a DSE strategy actually
 //! emits: starting from a seeded random genome, each step samples a
@@ -12,20 +12,15 @@
 //! deduplicated; deduplication is itself a caching strategy, and the
 //! point is to compare strategies on the same stream.
 //!
-//! Every candidate in the stream is prepared three ways:
+//! Every candidate in the stream is prepared two ways:
 //!
 //! * **cold** — [`HierarchicalModel::prepare`] from scratch, the
 //!   no-cache baseline;
-//! * **warm** — a [`Session`] whose prepared-design LRU is on but whose
-//!   incremental database is off: exact revisits hit, everything else is
-//!   a from-scratch rebuild;
-//! * **incremental** — the production stack: the same LRU *plus* the
-//!   per-model `QueryDb` behind it, so LRU misses (new neighbors) reuse
-//!   unchanged per-loop subgraphs instead of rebuilding from scratch.
-//!   The `vs warm` column is therefore the query engine's marginal
-//!   contribution on an identical stream.
+//! * **incremental** — the production [`Session`]: each kernel's
+//!   `QueryDb` answers exact revisits without executing any query and
+//!   rebuilds only the changed loop regions of a new neighbor.
 //!
-//! All three [`PreparedDesign::digest`]s must agree on every candidate
+//! Both [`PreparedDesign::digest`]s must agree on every candidate
 //! (the run aborts otherwise), so the speedups are measured on provably
 //! byte-identical outputs. Results append to the `BENCH_incr.json`
 //! trajectory; with `--smoke`, scale shrinks and timing-dependent fields
@@ -39,16 +34,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use obs::Json;
-use qor_core::{fnv1a, HierarchicalModel, IncrCounts, Session, SharedCache, TrainOptions};
+use qor_core::{fnv1a, HierarchicalModel, KindStats, Session, TrainOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use search::{Genome, SpaceModel};
 
 use crate::trajectory;
-
-/// LRU capacity for the warm bar — large enough that the sweep never
-/// evicts, so the warm numbers measure the strategy, not the sizing.
-const WARM_CAP: usize = 4096;
 
 /// Folds one more digest into a running FNV-1a accumulator.
 fn mix(acc: u64, v: u64) -> u64 {
@@ -143,28 +134,9 @@ impl SweepArgs {
     }
 }
 
-/// The two benchmark sessions, sharing one trained model's weights by
-/// training twice from the same seed (training is deterministic).
-pub(crate) struct Paths {
-    /// LRU on, incremental database off.
-    warm: Session,
-    /// Production stack: the same LRU plus the incremental database.
-    incr: Session,
-}
-
-impl Paths {
-    fn new(opts: &TrainOptions) -> Paths {
-        Paths {
-            warm: Session::with_shared(
-                HierarchicalModel::new(opts),
-                Arc::new(SharedCache::with_options(WARM_CAP, false)),
-            ),
-            incr: Session::with_shared(
-                HierarchicalModel::new(opts),
-                Arc::new(SharedCache::with_options(WARM_CAP, true)),
-            ),
-        }
-    }
+/// The benchmark session; its capacity retains every bundled kernel.
+fn sweep_session(opts: &TrainOptions) -> Session {
+    Session::with_capacity(HierarchicalModel::new(opts), qor_core::DEFAULT_CACHE_CAP)
 }
 
 /// Per-kernel sweep outcome.
@@ -175,9 +147,8 @@ struct KernelResult {
     /// Distinct pragma fingerprints in the stream.
     unique: usize,
     cold_us: u64,
-    warm_us: u64,
     incr_us: u64,
-    incr: IncrCounts,
+    incr: KindStats,
     /// FNV over the candidate digests in evaluation order.
     digest_fnv: u64,
 }
@@ -187,7 +158,7 @@ struct KernelResult {
 fn sweep_kernel(
     name: &'static str,
     args: &SweepArgs,
-    paths: &Paths,
+    session: &Session,
 ) -> Result<Option<KernelResult>, String> {
     let func = kernels::lower_kernel(name).map_err(|e| format!("{name}: {e}"))?;
     let space = kernels::design_space(&func);
@@ -204,12 +175,11 @@ fn sweep_kernel(
         candidates: 0,
         unique: 0,
         cold_us: 0,
-        warm_us: 0,
         incr_us: 0,
-        incr: IncrCounts::default(),
+        incr: KindStats::default(),
         digest_fnv: fnv1a(name.as_bytes()),
     };
-    let arc_func = std::sync::Arc::new(func);
+    let arc_func = Arc::new(func);
     for step in 0..args.steps {
         let mut next: Option<Genome> = None;
         for _ in 0..args.breadth {
@@ -224,29 +194,21 @@ fn sweep_kernel(
             result.candidates += 1;
 
             let t = Instant::now();
-            let (prepared, report) = paths
-                .incr
+            let (prepared, report) = session
                 .prepare_kernel(name, &cfg)
                 .map_err(|e| format!("{name}: {e}"))?;
             result.incr_us += t.elapsed().as_micros() as u64;
             result.incr.absorb(&report.incr);
 
             let t = Instant::now();
-            let (warm, _) = paths
-                .warm
-                .prepare_kernel(name, &cfg)
-                .map_err(|e| format!("{name}: {e}"))?;
-            result.warm_us += t.elapsed().as_micros() as u64;
-
-            let t = Instant::now();
-            let cold = paths.incr.model().prepare(arc_func.clone(), cfg.clone());
+            let cold = session.model().prepare(arc_func.clone(), cfg.clone());
             result.cold_us += t.elapsed().as_micros() as u64;
 
-            let (di, dw, dc) = (prepared.digest(), warm.digest(), cold.digest());
-            if di != dc || dw != dc {
+            let (di, dc) = (prepared.digest(), cold.digest());
+            if di != dc {
                 return Err(format!(
-                    "{name}: prepare paths diverged (incr {di:016x}, warm {dw:016x}, \
-                     cold {dc:016x}, cfg fp {:016x})",
+                    "{name}: prepare paths diverged (incr {di:016x}, cold {dc:016x}, \
+                     cfg fp {:016x})",
                     cfg.fingerprint()
                 ));
             }
@@ -269,7 +231,7 @@ fn sweep_kernel(
 pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
     let args = SweepArgs::parse(argv);
     let opts = TrainOptions::quick().with_hidden(12).with_seed(4);
-    let paths = Paths::new(&opts);
+    let session = sweep_session(&opts);
 
     let mut names: Vec<&'static str> = kernels::all().iter().map(|k| k.name).collect();
     if args.max_kernels > 0 {
@@ -286,7 +248,7 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
 
     let mut results: Vec<KernelResult> = Vec::new();
     for name in names {
-        if let Some(r) = sweep_kernel(name, &args, &paths)? {
+        if let Some(r) = sweep_kernel(name, &args, &session)? {
             results.push(r);
         }
     }
@@ -294,7 +256,7 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
         return Err("no kernel produced a searchable space".into());
     }
 
-    let widths = [12usize, 6, 6, 10, 10, 10, 9, 9];
+    let widths = [12usize, 6, 6, 10, 10, 9];
     println!(
         "{}",
         crate::row(
@@ -303,10 +265,8 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
                 "Cand".into(),
                 "Uniq".into(),
                 "cold (us)".into(),
-                "warm (us)".into(),
                 "incr (us)".into(),
                 "vs cold".into(),
-                "vs warm".into(),
             ],
             &widths
         )
@@ -314,13 +274,11 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
     let mut total_cand = 0usize;
     let mut total_unique = 0usize;
     let mut total_cold = 0u64;
-    let mut total_warm = 0u64;
     let mut total_incr_us = 0u64;
-    let mut totals = IncrCounts::default();
+    let mut totals = KindStats::default();
     let mut digest_fnv = crate::trajectory::INCR_SCHEMA.len() as u64;
     for r in &results {
         let vs_cold = r.cold_us as f64 / (r.incr_us.max(1)) as f64;
-        let vs_warm = r.warm_us as f64 / (r.incr_us.max(1)) as f64;
         println!(
             "{}",
             crate::row(
@@ -329,10 +287,8 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
                     r.candidates.to_string(),
                     r.unique.to_string(),
                     r.cold_us.to_string(),
-                    r.warm_us.to_string(),
                     r.incr_us.to_string(),
                     format!("{vs_cold:.1}x"),
-                    format!("{vs_warm:.1}x"),
                 ],
                 &widths
             )
@@ -340,27 +296,24 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
         total_cand += r.candidates;
         total_unique += r.unique;
         total_cold += r.cold_us;
-        total_warm += r.warm_us;
         total_incr_us += r.incr_us;
         totals.absorb(&r.incr);
         digest_fnv = mix(digest_fnv, r.digest_fnv);
     }
     let speedup = total_cold as f64 / total_incr_us.max(1) as f64;
-    let vs_warm = total_warm as f64 / total_incr_us.max(1) as f64;
     let pass_10x = speedup >= 10.0;
     println!(
-        "\n{} candidates ({} unique): cold {} us, warm {} us, incremental {} us",
-        total_cand, total_unique, total_cold, total_warm, total_incr_us,
+        "\n{} candidates ({} unique): cold {} us, incremental {} us",
+        total_cand, total_unique, total_cold, total_incr_us,
     );
     println!(
-        "amortized: {:.1}x vs cold (target 10x: {}), {:.1}x vs warm LRU",
+        "amortized: {:.1}x vs cold (target 10x: {})",
         speedup,
         if pass_10x { "pass" } else { "FAIL" },
-        vs_warm
     );
-    println!("all candidate digests byte-identical across the three paths");
+    println!("all candidate digests byte-identical across both paths");
     println!("\nper-kind query counters (incremental path):");
-    for (kind, s) in paths.incr.shared_cache().incr_kind_stats() {
+    for (kind, s) in session.shared_cache().incr_kind_stats() {
         println!(
             "  {kind:>14}: hits {} (validated {}, reused {}), misses {}, recomputes {}",
             s.hits, s.validated, s.reused, s.misses, s.recomputes
@@ -374,7 +327,6 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
     } else {
         Json::obj(vec![
             ("cold_us", Json::UInt(total_cold)),
-            ("warm_us", Json::UInt(total_warm)),
             ("incr_us", Json::UInt(total_incr_us)),
             (
                 "amortized_cold_us",
@@ -385,10 +337,6 @@ pub fn run(argv: &[String]) -> Result<i32, Box<dyn std::error::Error>> {
                 Json::UInt(total_incr_us / total_cand.max(1) as u64),
             ),
             ("speedup", Json::Float((speedup * 100.0).round() / 100.0)),
-            (
-                "speedup_vs_warm",
-                Json::Float((vs_warm * 100.0).round() / 100.0),
-            ),
             ("pass_10x", Json::Bool(pass_10x)),
         ])
     };
@@ -452,8 +400,7 @@ mod tests {
         };
         let opts = TrainOptions::quick().with_hidden(12).with_seed(4);
         let run_once = || {
-            let paths = Paths::new(&opts);
-            let r = sweep_kernel("gemm", &args, &paths)
+            let r = sweep_kernel("gemm", &args, &sweep_session(&opts))
                 .unwrap()
                 .expect("gemm has loops");
             (r.candidates, r.unique, r.digest_fnv, r.incr)

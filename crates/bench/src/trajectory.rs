@@ -10,9 +10,11 @@
 //! ```
 //!
 //! [`append`] reads the existing document (migrating a legacy v1
-//! single-object file into the first entry), pushes the new entry and
-//! rewrites the file. Entries are kept verbatim as the bytes they were
-//! written with, so appending never reformats history.
+//! single-object file into the first entry, and the entries of a document
+//! under an earlier version of the same schema family verbatim), pushes
+//! the new entry and rewrites the file under the current schema. Entries
+//! are kept verbatim as the bytes they were written with, so appending
+//! never reformats history.
 
 use std::io;
 use std::path::Path;
@@ -23,8 +25,9 @@ use obs::Json;
 pub const SERVE_SCHEMA: &str = "qor-bench-serve/v2";
 
 /// Schema tag for the incremental neighbor-sweep trajectory document
-/// (`BENCH_incr.json`).
-pub const INCR_SCHEMA: &str = "qor-bench-incr/v1";
+/// (`BENCH_incr.json`). v2 entries drop v1's warm-LRU stream
+/// (`warm_us`, `speedup_vs_warm`).
+pub const INCR_SCHEMA: &str = "qor-bench-incr/v2";
 
 /// Schema tag for the fleet-scaling trajectory document
 /// (`BENCH_fleet.json`).
@@ -55,15 +58,14 @@ pub fn append(path: &Path, schema: &str, entry: &Json) -> io::Result<usize> {
 }
 
 /// Extracts the existing entries (as verbatim JSON strings) from a
-/// trajectory document; a legacy single-object file becomes the sole
-/// entry, an empty/blank file none.
+/// trajectory document of `schema`'s family (any version); a legacy
+/// single-object file becomes the sole entry, an empty/blank file none.
 fn parse_entries(text: &str, schema: &str) -> Result<Vec<String>, String> {
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return Ok(Vec::new());
     }
-    let header = format!("{{\"schema\":{},\"entries\":[", Json::str(schema));
-    let Some(body) = trimmed.strip_prefix(header.as_str()) else {
+    let Some(body) = document_body(trimmed, schema) else {
         // legacy v1: one bare object per file — migrate it as entry 0
         if trimmed.starts_with('{') && trimmed.ends_with('}') {
             return Ok(vec![trimmed.to_string()]);
@@ -77,6 +79,18 @@ fn parse_entries(text: &str, schema: &str) -> Result<Vec<String>, String> {
         .strip_suffix("]}")
         .ok_or_else(|| format!("unterminated {schema} document"))?;
     split_top_level(body)
+}
+
+/// The entry list of a `{"schema":"<family>/<version>","entries":[...]}`
+/// document whose family matches `schema`'s, or `None`.
+fn document_body<'a>(text: &'a str, schema: &str) -> Option<&'a str> {
+    let family = |tag: &str| tag.rsplit_once('/').map(|(f, _)| f.to_string());
+    let rest = text.strip_prefix("{\"schema\":\"")?;
+    let (tag, rest) = rest.split_once('"')?;
+    if family(tag)? != family(schema)? {
+        return None;
+    }
+    rest.strip_prefix(",\"entries\":[")
 }
 
 /// Splits a comma-separated list of JSON values at nesting depth zero,
@@ -165,6 +179,20 @@ mod tests {
         let legacy = text.find("\"p99_us\":42").unwrap();
         let fresh = text.find("\"n\":9").unwrap();
         assert!(legacy < fresh, "{text}");
+        serve::json::parse(&text).unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn earlier_schema_version_entries_carry_over() {
+        let path = tmp("v1");
+        let old = "{\"schema\":\"qor-bench-incr/v1\",\"entries\":[\n{\"n\":1,\"warm_us\":5},\n{\"n\":2}\n]}\n";
+        std::fs::write(&path, old).unwrap();
+        assert_eq!(append(&path, INCR_SCHEMA, &entry(3)).unwrap(), 3);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(
+            "{\"schema\":\"qor-bench-incr/v2\",\"entries\":[\n{\"n\":1,\"warm_us\":5},\n{\"n\":2},"
+        ));
         serve::json::parse(&text).unwrap();
         let _ = std::fs::remove_file(&path);
     }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use qor_core::{fnv1a, HierarchicalModel, Session, SharedCache, TrainOptions};
+use qor_core::{fnv1a, HierarchicalModel, Session, TrainOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use search::SpaceModel;
@@ -18,11 +18,9 @@ use search::SpaceModel;
 #[test]
 fn random_walks_byte_identical_on_all_kernels() {
     let opts = TrainOptions::quick().with_hidden(10).with_seed(9);
-    // LRU off: every candidate goes through the query database
-    let session = Session::with_shared(
-        HierarchicalModel::new(&opts),
-        Arc::new(SharedCache::with_options(0, true)),
-    );
+    // every candidate goes through its kernel's query database
+    let session =
+        Session::with_capacity(HierarchicalModel::new(&opts), qor_core::DEFAULT_CACHE_CAP);
     let mut walked = 0;
     for k in kernels::all() {
         let func = kernels::lower_kernel(k.name).expect("bundled kernel lowers");

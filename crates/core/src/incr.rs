@@ -8,14 +8,18 @@
 //!
 //! # Key scheme
 //!
+//! One database serves one kernel under one set of graph-construction
+//! options: the owning [`SharedCache`](crate::SharedCache) keys its
+//! entries by `(prepare fingerprint, kernel hash)`. The lowered HIR and
+//! `graph_max_nodes` are therefore fixed for the database's lifetime and
+//! travel as execution context ([`prepare_design`]'s arguments), not as
+//! inputs. Keys name loops and arrays by their index into
+//! [`Function::loops`] and [`Function::arrays`], so they are `Copy` and
+//! cheap to hash — a revisit re-validates dozens of them.
+//!
 //! Inputs (set by [`prepare_design`] from the full `PragmaConfig` before
 //! every query; unchanged sets are no-ops):
 //!
-//! * [`PipeKey::Opts`] — `graph_max_nodes` (constant per database; the
-//!   owning [`SharedCache`](crate::SharedCache) shards databases by
-//!   prepare fingerprint).
-//! * [`PipeKey::Func`] — the lowered HIR, keyed by the session's
-//!   content-addressed kernel hash.
 //! * [`PipeKey::LoopCfg`] — one loop's [`LoopPragma`] (explicit defaults
 //!   included, one input per loop in the function).
 //! * [`PipeKey::ArrayCfg`] — one array's per-dimension partitions.
@@ -53,72 +57,55 @@ use std::sync::Arc;
 
 use cdfg::GraphOptions;
 use hir::Function;
-use incr::{Key, KindStats, QueryDb, Value};
-use pragma::{ArrayPartition, LoopId, LoopPragma, PragmaConfig};
+use incr::{Key, QueryDb, Value};
+use pragma::{ArrayPartition, LoopPragma, PragmaConfig};
 
 use crate::hash::Fnv1aHasher;
 use crate::hierarchy::{split_hierarchy, Hierarchy};
 use crate::model::{prepare_one_inner, PreparedDesign, PreparedInner};
 
-/// Query keys of the prepare pipeline. `khash` is the session's
-/// content-addressed kernel hash (FNV over `top NUL source`), so one
-/// database serves many kernels without cross-talk.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Query keys of the prepare pipeline of one kernel. Loop and array
+/// operands index [`Function::loops`] and [`Function::arrays`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipeKey {
-    /// Input: `graph_max_nodes`.
-    Opts,
-    /// Input: lowered HIR of kernel `khash`.
-    Func(u64),
     /// Input: one loop's pragma entry.
-    LoopCfg(u64, LoopId),
+    LoopCfg(u32),
     /// Input: one array's per-dimension partitions.
-    ArrayCfg(u64, String),
+    ArrayCfg(u32),
     /// Derived: the hierarchy split.
-    Hierarchy(u64),
+    Hierarchy,
     /// Derived: one loop's role in the hierarchy.
-    LoopRole(u64, LoopId),
+    LoopRole(u32),
     /// Derived: the restricted config observable by one loop's region.
-    RegionCfg(u64, LoopId),
+    RegionCfg(u32),
     /// Derived: one inner loop's prepared subgraph + features.
-    LoopPrepared(u64, LoopId),
+    LoopPrepared(u32),
 }
 
 impl Key for PipeKey {
     fn kind(&self) -> &'static str {
         match self {
-            PipeKey::Opts => "opts",
-            PipeKey::Func(_) => "func",
-            PipeKey::LoopCfg(..) => "loop_cfg",
-            PipeKey::ArrayCfg(..) => "array_cfg",
-            PipeKey::Hierarchy(_) => "hierarchy",
-            PipeKey::LoopRole(..) => "loop_role",
-            PipeKey::RegionCfg(..) => "region_cfg",
-            PipeKey::LoopPrepared(..) => "loop_prepared",
+            PipeKey::LoopCfg(_) => "loop_cfg",
+            PipeKey::ArrayCfg(_) => "array_cfg",
+            PipeKey::Hierarchy => "hierarchy",
+            PipeKey::LoopRole(_) => "loop_role",
+            PipeKey::RegionCfg(_) => "region_cfg",
+            PipeKey::LoopPrepared(_) => "loop_prepared",
         }
     }
 
     fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1aHasher::new();
-        let (tag, khash, lid, name): (u8, u64, Option<&LoopId>, Option<&str>) = match self {
-            PipeKey::Opts => (0, 0, None, None),
-            PipeKey::Func(k) => (1, *k, None, None),
-            PipeKey::LoopCfg(k, id) => (2, *k, Some(id), None),
-            PipeKey::ArrayCfg(k, name) => (3, *k, None, Some(name)),
-            PipeKey::Hierarchy(k) => (4, *k, None, None),
-            PipeKey::LoopRole(k, id) => (5, *k, Some(id), None),
-            PipeKey::RegionCfg(k, id) => (6, *k, Some(id), None),
-            PipeKey::LoopPrepared(k, id) => (7, *k, Some(id), None),
+        let (tag, index) = match *self {
+            PipeKey::LoopCfg(i) => (0, i),
+            PipeKey::ArrayCfg(i) => (1, i),
+            PipeKey::Hierarchy => (2, 0),
+            PipeKey::LoopRole(i) => (3, i),
+            PipeKey::RegionCfg(i) => (4, i),
+            PipeKey::LoopPrepared(i) => (5, i),
         };
+        let mut h = Fnv1aHasher::new();
         h.write(&[tag]);
-        h.write_u64(khash);
-        if let Some(id) = lid {
-            for seg in id.path() {
-                h.write_u16(*seg);
-            }
-        }
-        if let Some(name) = name {
-            h.write(name.as_bytes());
-        }
+        h.write_u32(index);
         h.finish()
     }
 }
@@ -128,10 +115,6 @@ impl Key for PipeKey {
 /// construction and carried alongside.
 #[derive(Debug, Clone)]
 pub enum PipeVal {
-    /// `graph_max_nodes`.
-    Opts(u64),
-    /// Lowered HIR plus its content-addressed kernel hash.
-    Func(Arc<Function>, u64),
     /// One loop's pragma.
     LoopCfg(LoopPragma),
     /// One array's partitions, dimension-indexed from 0.
@@ -150,10 +133,6 @@ pub enum PipeVal {
 impl Value for PipeVal {
     fn eq_value(&self, other: &Self) -> bool {
         match (self, other) {
-            (PipeVal::Opts(a), PipeVal::Opts(b)) => a == b,
-            (PipeVal::Func(fa, ka), PipeVal::Func(fb, kb)) => {
-                ka == kb && (Arc::ptr_eq(fa, fb) || fa == fb)
-            }
             (PipeVal::LoopCfg(a), PipeVal::LoopCfg(b)) => a == b,
             (PipeVal::ArrayCfg(a), PipeVal::ArrayCfg(b)) => a == b,
             (PipeVal::Hierarchy(a), PipeVal::Hierarchy(b)) => a == b,
@@ -169,8 +148,6 @@ impl Value for PipeVal {
 
     fn fingerprint(&self) -> u64 {
         match self {
-            PipeVal::Opts(n) => *n,
-            PipeVal::Func(_, khash) => *khash,
             PipeVal::LoopCfg(p) => {
                 let mut h = Fnv1aHasher::new();
                 h.write(&[u8::from(p.pipeline), u8::from(p.flatten)]);
@@ -212,210 +189,182 @@ impl Value for PipeVal {
     }
 }
 
-/// The pipeline's query database. One per prepare fingerprint, owned by
-/// [`SharedCache`](crate::SharedCache) behind a mutex.
+/// The query database of one kernel's prepare pipeline, owned by a
+/// [`SharedCache`](crate::SharedCache) entry behind a mutex.
 pub type PipelineDb = QueryDb<PipeKey, PipeVal>;
 
-/// Default bound on the cross-revision version cache, overridable with
-/// `QOR_INCR_CAP` (0 disables cross-revision reuse but keeps red-green
-/// validation).
-pub const DEFAULT_VERSION_CAP: usize = 4096;
+/// Bound on the cross-revision version caches of one
+/// [`SharedCache`](crate::SharedCache), summed over its kernel databases.
+/// A full sweep of the largest held-out space (`mvt`, 4,053 query
+/// executions) fits, so a second sweep of any held-out space executes no
+/// query.
+pub const VERSION_CAP: usize = 4096;
 
-/// A fresh pipeline database honoring `QOR_INCR_CAP`.
-pub fn new_db() -> PipelineDb {
-    let cap = std::env::var("QOR_INCR_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_VERSION_CAP);
-    PipelineDb::new(cap)
+/// The fixed context of one kernel database: its lowered function and the
+/// graph-construction bound.
+struct Pipeline<'a> {
+    func: &'a Function,
+    max_nodes: usize,
 }
 
-fn unwrap_func(v: PipeVal) -> Arc<Function> {
-    match v {
-        PipeVal::Func(f, _) => f,
-        _ => unreachable!("incr: Func key holds non-Func value"),
+impl Pipeline<'_> {
+    /// Fetches `key`, executing derived queries through [`Self::execute`].
+    fn get(&self, db: &mut PipelineDb, key: &PipeKey) -> PipeVal {
+        db.get(key, &|db: &mut PipelineDb, key: &PipeKey| {
+            self.execute(db, key)
+        })
     }
-}
 
-fn unwrap_loop_cfg(v: PipeVal) -> LoopPragma {
-    match v {
-        PipeVal::LoopCfg(p) => p,
-        _ => unreachable!("incr: LoopCfg key holds non-LoopCfg value"),
-    }
-}
-
-/// Executes one derived query. Every read goes back through `db` so the
-/// engine records it as a dependency edge.
-fn execute(db: &mut PipelineDb, key: &PipeKey) -> PipeVal {
-    match key {
-        PipeKey::Opts | PipeKey::Func(_) | PipeKey::LoopCfg(..) | PipeKey::ArrayCfg(..) => {
-            unreachable!(
-                "incr: input query '{}' fetched before prepare_design seeded it",
-                key.kind()
-            )
+    fn loop_cfg(&self, db: &mut PipelineDb, index: usize) -> LoopPragma {
+        match self.get(db, &PipeKey::LoopCfg(index as u32)) {
+            PipeVal::LoopCfg(p) => p,
+            _ => unreachable!("incr: LoopCfg key holds non-LoopCfg value"),
         }
-        PipeKey::Hierarchy(k) => {
-            let func = unwrap_func(db.get(&PipeKey::Func(*k), &execute));
-            let mut cfg = PragmaConfig::new();
-            for meta in func.loops() {
-                let p = unwrap_loop_cfg(db.get(&PipeKey::LoopCfg(*k, meta.id.clone()), &execute));
-                cfg.set_pipeline(meta.id.clone(), p.pipeline);
-                cfg.set_unroll(meta.id.clone(), p.unroll);
-                cfg.set_flatten(meta.id.clone(), p.flatten);
+    }
+
+    fn hierarchy(&self, db: &mut PipelineDb) -> Arc<Hierarchy> {
+        match self.get(db, &PipeKey::Hierarchy) {
+            PipeVal::Hierarchy(h) => h,
+            _ => unreachable!("incr: Hierarchy key holds non-Hierarchy value"),
+        }
+    }
+
+    /// Executes one derived query. Every read goes back through `db` so
+    /// the engine records it as a dependency edge.
+    fn execute(&self, db: &mut PipelineDb, key: &PipeKey) -> PipeVal {
+        let func = self.func;
+        let loop_id = |i: u32| &func.loops()[i as usize].id;
+        match *key {
+            PipeKey::LoopCfg(_) | PipeKey::ArrayCfg(_) => {
+                unreachable!(
+                    "incr: input query '{}' fetched before prepare_design seeded it",
+                    key.kind()
+                )
             }
-            PipeVal::Hierarchy(Arc::new(split_hierarchy(&func, &cfg)))
-        }
-        PipeKey::LoopRole(k, id) => {
-            let hier = match db.get(&PipeKey::Hierarchy(*k), &execute) {
-                PipeVal::Hierarchy(h) => h,
-                _ => unreachable!("incr: Hierarchy key holds non-Hierarchy value"),
-            };
-            PipeVal::LoopRole(
-                hier.inner
+            PipeKey::Hierarchy => {
+                let mut cfg = PragmaConfig::new();
+                for (i, meta) in func.loops().iter().enumerate() {
+                    let p = self.loop_cfg(db, i);
+                    cfg.set_pipeline(meta.id.clone(), p.pipeline);
+                    cfg.set_unroll(meta.id.clone(), p.unroll);
+                    cfg.set_flatten(meta.id.clone(), p.flatten);
+                }
+                PipeVal::Hierarchy(Arc::new(split_hierarchy(func, &cfg)))
+            }
+            PipeKey::LoopRole(i) => PipeVal::LoopRole(
+                self.hierarchy(db)
+                    .inner
                     .iter()
-                    .find(|inner| inner.id == *id)
+                    .find(|inner| inner.id == *loop_id(i))
                     .map(|inner| inner.pipelined),
-            )
-        }
-        PipeKey::RegionCfg(k, id) => {
-            let func = unwrap_func(db.get(&PipeKey::Func(*k), &execute));
-            let mut restricted = PragmaConfig::new();
-            for meta in func.loops() {
-                if id.contains(&meta.id) {
-                    let p =
-                        unwrap_loop_cfg(db.get(&PipeKey::LoopCfg(*k, meta.id.clone()), &execute));
-                    restricted.set_pipeline(meta.id.clone(), p.pipeline);
-                    restricted.set_unroll(meta.id.clone(), p.unroll);
-                    restricted.set_flatten(meta.id.clone(), p.flatten);
+            ),
+            PipeKey::RegionCfg(i) => {
+                let id = loop_id(i);
+                let mut restricted = PragmaConfig::new();
+                for (j, meta) in func.loops().iter().enumerate() {
+                    if id.contains(&meta.id) {
+                        let p = self.loop_cfg(db, j);
+                        restricted.set_pipeline(meta.id.clone(), p.pipeline);
+                        restricted.set_unroll(meta.id.clone(), p.unroll);
+                        restricted.set_flatten(meta.id.clone(), p.flatten);
+                    }
                 }
+                for use_ in hir::array_uses(func, id, true) {
+                    let a = func
+                        .arrays
+                        .iter()
+                        .position(|info| info.name == use_.array)
+                        .expect("incr: a used array is declared");
+                    let parts = match self.get(db, &PipeKey::ArrayCfg(a as u32)) {
+                        PipeVal::ArrayCfg(p) => p,
+                        _ => unreachable!("incr: ArrayCfg key holds non-ArrayCfg value"),
+                    };
+                    for (d, p) in parts.iter().enumerate() {
+                        restricted.set_partition(use_.array.clone(), d as u32 + 1, *p);
+                    }
+                }
+                let fp = restricted.fingerprint();
+                PipeVal::RegionCfg(Arc::new(restricted), fp)
             }
-            for use_ in hir::array_uses(&func, id, true) {
-                let parts = match db.get(&PipeKey::ArrayCfg(*k, use_.array.clone()), &execute) {
-                    PipeVal::ArrayCfg(p) => p,
-                    _ => unreachable!("incr: ArrayCfg key holds non-ArrayCfg value"),
+            PipeKey::LoopPrepared(i) => {
+                let pipelined = match self.get(db, &PipeKey::LoopRole(i)) {
+                    PipeVal::LoopRole(role) => role.unwrap_or(false),
+                    _ => unreachable!("incr: LoopRole key holds non-LoopRole value"),
                 };
-                for (d, p) in parts.iter().enumerate() {
-                    restricted.set_partition(use_.array.clone(), d as u32 + 1, *p);
-                }
+                let (rcfg, rcfg_fp) = match self.get(db, &PipeKey::RegionCfg(i)) {
+                    PipeVal::RegionCfg(c, fp) => (c, fp),
+                    _ => unreachable!("incr: RegionCfg key holds non-RegionCfg value"),
+                };
+                let options = GraphOptions {
+                    max_nodes: self.max_nodes,
+                };
+                let inner = prepare_one_inner(func, &rcfg, loop_id(i), pipelined, options);
+                // the value is a pure function of its inputs (the kernel and
+                // graph options are fixed per database), so its identity
+                // fingerprint is derived from the input fingerprints —
+                // hashing the tensors themselves would cost a fraction of
+                // rebuilding them on every recompute
+                let mut h = Fnv1aHasher::new();
+                h.write_u64(key.fingerprint());
+                h.write(&[u8::from(pipelined)]);
+                h.write_u64(rcfg_fp);
+                PipeVal::LoopPrepared(Arc::new(inner), h.finish())
             }
-            let fp = restricted.fingerprint();
-            PipeVal::RegionCfg(Arc::new(restricted), fp)
-        }
-        PipeKey::LoopPrepared(k, id) => {
-            let max_nodes = match db.get(&PipeKey::Opts, &execute) {
-                PipeVal::Opts(n) => n as usize,
-                _ => unreachable!("incr: Opts key holds non-Opts value"),
-            };
-            let func = unwrap_func(db.get(&PipeKey::Func(*k), &execute));
-            let pipelined = match db.get(&PipeKey::LoopRole(*k, id.clone()), &execute) {
-                PipeVal::LoopRole(role) => role.unwrap_or(false),
-                _ => unreachable!("incr: LoopRole key holds non-LoopRole value"),
-            };
-            let (rcfg, rcfg_fp) = match db.get(&PipeKey::RegionCfg(*k, id.clone()), &execute) {
-                PipeVal::RegionCfg(c, fp) => (c, fp),
-                _ => unreachable!("incr: RegionCfg key holds non-RegionCfg value"),
-            };
-            let inner = prepare_one_inner(&func, &rcfg, id, pipelined, GraphOptions { max_nodes });
-            // the value is a pure function of its inputs, so its identity
-            // fingerprint is derived from the input fingerprints — hashing
-            // the tensors themselves would cost a fraction of rebuilding
-            // them on every recompute
-            let mut h = Fnv1aHasher::new();
-            h.write_u64(key.fingerprint());
-            h.write_u64(*k);
-            h.write_u64(max_nodes as u64);
-            h.write(&[u8::from(pipelined)]);
-            h.write_u64(rcfg_fp);
-            let fp = h.finish();
-            PipeVal::LoopPrepared(Arc::new(inner), fp)
         }
     }
 }
 
-/// Per-prepare incremental counters (the [`KindStats`] totals delta of
-/// one [`prepare_design`] call).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrCounts {
-    /// Queries answered from memo.
-    pub hits: u64,
-    /// First-ever query computations.
-    pub misses: u64,
-    /// Query re-executions after an input actually changed.
-    pub recomputes: u64,
-}
-
-impl IncrCounts {
-    /// Element-wise sum.
-    pub fn absorb(&mut self, other: &IncrCounts) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.recomputes += other.recomputes;
-    }
-
-    fn from_totals(after: &KindStats, before: &KindStats) -> IncrCounts {
-        let d = after.delta(before);
-        IncrCounts {
-            hits: d.hits,
-            misses: d.misses,
-            recomputes: d.recomputes,
-        }
-    }
-}
-
-/// Builds a [`PreparedDesign`] through the query database: seeds the
-/// inputs from `(func, cfg)`, fetches the hierarchy and each inner loop's
-/// prepared subgraph (memoized), and assembles the result around the
-/// caller's full configuration.
+/// Builds a [`PreparedDesign`] through the kernel database `db`: seeds the
+/// inputs from `cfg`, fetches the hierarchy and each inner loop's prepared
+/// subgraph (memoized), and assembles the result around the caller's full
+/// configuration.
 ///
-/// Byte-identical to `HierarchicalModel::prepare` with the same
+/// `db` must only ever see this `func` and `max_nodes`. The result is
+/// byte-identical to `HierarchicalModel::prepare` with the same
 /// `graph_max_nodes` — on a cold database because both run
 /// `prepare_one_inner` on equivalent inputs, and on a warm one because
 /// memo hits replay values those exact executions produced.
-///
-/// Returns the design and the hit/miss/recompute delta of this call.
 pub fn prepare_design(
     db: &mut PipelineDb,
-    khash: u64,
     func: &Arc<Function>,
     cfg: &PragmaConfig,
     max_nodes: usize,
-) -> (PreparedDesign, IncrCounts) {
-    let before = db.totals();
-    db.set_input(PipeKey::Opts, PipeVal::Opts(max_nodes as u64));
-    db.set_input(PipeKey::Func(khash), PipeVal::Func(func.clone(), khash));
-    for meta in func.loops() {
+) -> PreparedDesign {
+    for (i, meta) in func.loops().iter().enumerate() {
         db.set_input(
-            PipeKey::LoopCfg(khash, meta.id.clone()),
+            PipeKey::LoopCfg(i as u32),
             PipeVal::LoopCfg(cfg.loop_pragma(&meta.id)),
         );
     }
-    for info in &func.arrays {
+    for (i, info) in func.arrays.iter().enumerate() {
         let parts: Vec<ArrayPartition> = (1..=info.dims.len() as u32)
             .map(|d| cfg.partition(&info.name, d))
             .collect();
         db.set_input(
-            PipeKey::ArrayCfg(khash, info.name.clone()),
+            PipeKey::ArrayCfg(i as u32),
             PipeVal::ArrayCfg(Arc::new(parts)),
         );
     }
-    let hier = match db.get(&PipeKey::Hierarchy(khash), &execute) {
-        PipeVal::Hierarchy(h) => h,
-        _ => unreachable!("incr: Hierarchy key holds non-Hierarchy value"),
-    };
+    let pipeline = Pipeline { func, max_nodes };
+    let hier = pipeline.hierarchy(db);
     let inner: Vec<Arc<PreparedInner>> = hier
         .inner
         .iter()
-        .map(
-            |i| match db.get(&PipeKey::LoopPrepared(khash, i.id.clone()), &execute) {
+        .map(|inner| {
+            let i = func
+                .loops()
+                .iter()
+                .position(|meta| meta.id == inner.id)
+                .expect("incr: an inner region is a loop");
+            match pipeline.get(db, &PipeKey::LoopPrepared(i as u32)) {
                 PipeVal::LoopPrepared(p, _) => p,
                 _ => unreachable!("incr: LoopPrepared key holds non-LoopPrepared value"),
-            },
-        )
+            }
+        })
         .collect();
-    let design = PreparedDesign {
+    PreparedDesign {
         func: func.clone(),
         cfg: cfg.clone(),
         inner,
-    };
-    (design, IncrCounts::from_totals(&db.totals(), &before))
+    }
 }

@@ -45,6 +45,7 @@ mod model;
 mod session;
 pub mod wire;
 
+pub use ::incr::KindStats;
 pub use dataset::{
     generate, generate_for, generate_from_functions, DataOptions, DesignSample, LabeledDesigns,
 };
@@ -54,7 +55,6 @@ pub use features::{
 };
 pub use hash::{fnv1a, Fnv1aHasher, FnvBuildHasher};
 pub use hierarchy::{split_hierarchy, Hierarchy, InnerCategory, InnerLoop};
-pub use incr::IncrCounts;
 pub use model::{
     GlobalEval, HierarchicalModel, InnerEval, PreparedDesign, TrainOptions, TrainStats, BANKS,
 };

@@ -638,7 +638,7 @@ impl HierarchicalModel {
     ///
     /// Two models with equal fingerprints produce bit-identical
     /// [`PreparedDesign`]s for the same `(function, config)`, so a shared
-    /// prepared-design cache may serve both; models with different
+    /// kernel cache entry may serve both; models with different
     /// fingerprints must never share entries. The version tag guards
     /// against silently reusing stale cache keys if `prepare` ever grows
     /// another option dependency.

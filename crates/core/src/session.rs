@@ -5,16 +5,25 @@
 //! feature annotation; see [`HierarchicalModel::prepare`]) and a cheap GNN
 //! forward pass. DSE-style workloads query the same kernel under thousands
 //! of pragma configurations — and frequently revisit configurations — so a
-//! [`Session`] memoizes both layers in a [`SharedCache`]:
+//! [`Session`] memoizes the front half in a [`SharedCache`]: one LRU map
+//! of **kernels**, keyed by `(model prepare fingerprint, kernel hash)`
+//! with the kernel hash an FNV-1a over `(top name, source)`. Each entry holds the kernel's lowered [`Function`]
+//! and the kernel's own incremental query database ([`PipelineDb`], see
+//! [`crate::incr`]), and every prepare runs through that database:
 //!
-//! * **Kernel cache** — lowered [`Function`]s keyed by an FNV-1a hash of
-//!   `(top name, source)`. Unbounded: a serving process sees a handful of
-//!   kernels, each a few kilobytes of IR. Model-independent.
-//! * **Prepared cache** — [`PreparedDesign`] front halves keyed by an
-//!   FNV-1a hash of `(model prepare fingerprint, kernel hash, pragma
-//!   fingerprint)`, with least-recently-used eviction. Capacity comes
-//!   from the `QOR_CACHE_CAP` environment variable (default
-//!   [`DEFAULT_CACHE_CAP`]; `0` disables caching).
+//! * a pragma neighbor re-executes only the loop regions whose read
+//!   support changed;
+//! * a whole-design repeat executes no query at all — the database's
+//!   version cache answers A→B→A revisits — and is what the statistics
+//!   count as a prepared-cache hit.
+//!
+//! The map holds at most `QOR_CACHE_CAP` kernels (default
+//! [`DEFAULT_CACHE_CAP`]; `0` retains nothing, so every predict lowers and
+//! prepares from scratch), and the version caches of all retained
+//! databases hold at most [`VERSION_CAP`] entries together: when a prepare
+//! pushes the sum over, the least recently used other kernels drop their
+//! databases (their lowered functions stay). Memory stays bounded however
+//! many distinct sources and configurations clients send.
 //!
 //! Because the front half never reads model *weights* (only the graph
 //! construction options, folded into the prepare fingerprint), one
@@ -24,37 +33,40 @@
 //! across the swap. [`Session::with_shared`] wires a session onto an
 //! existing cache; the single-model constructors allocate a private one.
 //!
-//! Both hash layers use [`crate::Fnv1aHasher`], so keys are stable across
-//! processes (std's `RandomState` is randomized per process and would make
-//! hit patterns irreproducible).
+//! Kernel hashes use [`crate::Fnv1aHasher`], so they are stable across
+//! processes, and eviction follows a use-order clock, never map iteration
+//! order, so hit and eviction patterns are reproducible.
 //!
-//! Hit/miss/eviction counts are kept in cache-local atomics (exported by
+//! Hit/miss/eviction counts are kept in cache-local counters (exported by
 //! [`Session::stats`] / [`SharedCache::stats`]) and mirrored into the
-//! `obs` metrics registry under `session/cache/*` and `session/kernel/*`
-//! whenever collection is on.
+//! `obs` metrics registry under `session/cache/*`, `session/kernel/*` and
+//! `incr/*` whenever collection is on.
 //!
-//! A `Session` is `Sync`: the caches sit behind a mutex, the model is
-//! immutable, and prepared designs are shared as [`Arc`]s — so a server
-//! (or `par::map` fan-out) can serve predictions from many threads.
+//! A `Session` is `Sync`: the map and each kernel database sit behind
+//! their own mutexes, so prepares of different kernels run concurrently,
+//! the model is immutable, and prepared designs are shared as [`Arc`]s — so
+//! a server (or `par::map` fan-out) can serve predictions from many
+//! threads.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use hir::Function;
 use hlsim::Qor;
+use incr::KindStats;
 use obs::log::Level;
 use obs::Json;
 use pragma::PragmaConfig;
 
 use crate::error::QorError;
-use crate::hash::{Fnv1aHasher, FnvBuildHasher};
-use crate::incr::{IncrCounts, PipelineDb};
+use crate::hash::Fnv1aHasher;
+use crate::incr::{PipelineDb, VERSION_CAP};
 use crate::model::{HierarchicalModel, PreparedDesign};
 
-/// Prepared-cache capacity when `QOR_CACHE_CAP` is not set.
+/// Kernel capacity of a cache when `QOR_CACHE_CAP` is not set.
 pub const DEFAULT_CACHE_CAP: usize = 256;
 
 /// Point-in-time cache statistics of a [`SharedCache`].
@@ -64,19 +76,19 @@ pub const DEFAULT_CACHE_CAP: usize = 256;
 /// not any single model version reading it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Prepared-design cache hits.
+    /// Prepares that executed no query (whole-design repeats).
     pub hits: u64,
-    /// Prepared-design cache misses (front half recomputed).
+    /// Prepares that executed at least one query.
     pub misses: u64,
-    /// Prepared designs evicted by the LRU policy.
+    /// Kernels evicted by the LRU policy.
     pub evictions: u64,
-    /// Lowered-kernel cache hits.
+    /// Lowered-kernel lookups answered from the map.
     pub kernel_hits: u64,
-    /// Lowered-kernel cache misses (parse + lower paid).
+    /// Lowered-kernel lookups that missed (parse + lower paid).
     pub kernel_misses: u64,
-    /// Prepared designs currently cached.
+    /// Kernels currently retained.
     pub len: usize,
-    /// Prepared-cache capacity (0 = caching disabled).
+    /// Kernel capacity (0 = retain nothing).
     pub capacity: usize,
     /// Incremental queries answered from memo (all query kinds).
     pub incr_hits: u64,
@@ -87,8 +99,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of all lookups (both cache layers) answered from cache,
-    /// in `0..=1`; zero when nothing was looked up yet.
+    /// Fraction of all lookups (kernel and whole-design) answered without
+    /// work, in `0..=1`; zero when nothing was looked up yet.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.hits + self.kernel_hits;
         let total = hits + self.misses + self.kernel_misses;
@@ -110,66 +122,103 @@ impl CacheStats {
 pub struct PredictReport {
     /// The predicted quality of result.
     pub qor: Qor,
-    /// Whether the lowered kernel came from the kernel cache.
+    /// Whether the lowered kernel came from the kernel map.
     pub kernel_cache_hit: bool,
-    /// Whether the front half came from the prepared cache.
+    /// Whether the prepare executed no query (a whole-design repeat).
     pub prepared_cache_hit: bool,
-    /// Microseconds spent parsing + lowering (0 on a kernel-cache hit).
+    /// Microseconds spent parsing + lowering (0 on a kernel-map hit).
     pub lower_us: u64,
-    /// Microseconds spent preparing the front half (0 on a cache hit).
+    /// Microseconds spent preparing the front half.
     pub prepare_us: u64,
     /// Microseconds spent in the GNN forward pass.
     pub infer_us: u64,
-    /// Incremental query hit/miss/recompute counts of this prediction's
-    /// prepare (all zero on a prepared-cache hit or with `QOR_INCR=0`).
-    pub incr: IncrCounts,
+    /// Incremental query counts of this prediction's prepare.
+    pub incr: KindStats,
 }
 
 impl PredictReport {
-    /// Cache hits in this prediction (0..=2, one per cache layer).
+    /// Cache hits in this prediction (0..=2: kernel map, whole design).
     pub fn cache_hits(&self) -> u64 {
         u64::from(self.kernel_cache_hit) + u64::from(self.prepared_cache_hit)
     }
 
-    /// Cache misses in this prediction (0..=2, one per cache layer).
+    /// Cache misses in this prediction (0..=2: kernel map, whole design).
     pub fn cache_misses(&self) -> u64 {
         2 - self.cache_hits()
     }
 }
 
-#[derive(Default)]
-struct State {
-    /// LRU tick; strictly increasing under the lock, so eviction order is
-    /// total and deterministic.
-    tick: u64,
-    prepared: HashMap<u64, (u64, Arc<PreparedDesign>), FnvBuildHasher>,
-    kernels: HashMap<u64, Arc<Function>, FnvBuildHasher>,
+/// One retained kernel: its lowered function and its query database.
+struct Entry {
+    func: Arc<Function>,
+    db: Mutex<PipelineDb>,
+    /// `db`'s version count after its last prepare, readable under the
+    /// map's lock alone.
+    versions: AtomicUsize,
 }
 
-/// The memoization store behind one or more [`Session`]s: lowered kernels
-/// plus LRU-bounded prepared front halves (see the [module docs](self)).
+/// `(model prepare fingerprint, kernel hash)`.
+type EntryKey = (u64, u64);
+
+/// The kernel map with least-recently-used order: `order` maps each
+/// entry's last-use stamp to its key, so the oldest entry is the first.
+#[derive(Default)]
+struct Lru {
+    clock: u64,
+    map: HashMap<EntryKey, (u64, Arc<Entry>)>,
+    order: BTreeMap<u64, EntryKey>,
+}
+
+impl Lru {
+    /// Looks `key` up and marks it most recently used.
+    fn get(&mut self, key: EntryKey) -> Option<Arc<Entry>> {
+        let (stamp, entry) = self.map.get_mut(&key)?;
+        self.order.remove(stamp);
+        self.clock += 1;
+        *stamp = self.clock;
+        self.order.insert(self.clock, key);
+        Some(entry.clone())
+    }
+
+    /// Inserts `entry` unless a racing thread already did (the retained
+    /// entry wins, so both threads share one database), then evicts down
+    /// to `capacity`. Returns the retained entry and the eviction count.
+    fn insert(&mut self, key: EntryKey, entry: Arc<Entry>, capacity: usize) -> (Arc<Entry>, u64) {
+        if let Some(existing) = self.get(key) {
+            return (existing, 0);
+        }
+        self.clock += 1;
+        self.map.insert(key, (self.clock, entry.clone()));
+        self.order.insert(self.clock, key);
+        let mut evicted = 0;
+        while self.map.len() > capacity {
+            let (_, oldest) = self.order.pop_first().expect("order mirrors map");
+            self.map.remove(&oldest);
+            evicted += 1;
+        }
+        (entry, evicted)
+    }
+}
+
+/// The memoization store behind one or more [`Session`]s: an LRU map of
+/// kernels, each with its own query database (see the
+/// [module docs](self)).
 ///
 /// Create one with [`SharedCache::new`] / [`SharedCache::with_capacity`]
 /// and hand clones of the `Arc` to [`Session::with_shared`]; every session
-/// on the cache shares both memo layers and the statistics counters.
+/// on the cache shares the memo and the statistics counters.
 pub struct SharedCache {
     capacity: usize,
-    state: Mutex<State>,
+    /// Version entries all retained databases may hold together.
+    version_cap: usize,
+    lru: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     kernel_hits: AtomicU64,
     kernel_misses: AtomicU64,
-    /// `QOR_INCR != "0"`: whether prepared-cache misses go through the
-    /// incremental query database instead of a from-scratch prepare.
-    incr_enabled: bool,
-    /// One pipeline query database per prepare fingerprint. Sessions with
-    /// incompatible graph-construction options never share memos; hot
-    /// model swaps of the same architecture keep the whole database warm.
-    incr: Mutex<HashMap<u64, Arc<Mutex<PipelineDb>>, FnvBuildHasher>>,
-    incr_hits: AtomicU64,
-    incr_misses: AtomicU64,
-    incr_recomputes: AtomicU64,
+    /// Cumulative per-kind query counters; they outlive evicted kernels.
+    queries: Mutex<BTreeMap<&'static str, KindStats>>,
 }
 
 impl std::fmt::Debug for SharedCache {
@@ -190,48 +239,39 @@ impl Default for SharedCache {
 }
 
 impl SharedCache {
-    /// A cache with the capacity from `QOR_CACHE_CAP` (default
+    /// A cache with the kernel capacity from `QOR_CACHE_CAP` (default
     /// [`DEFAULT_CACHE_CAP`]).
     ///
-    /// `QOR_CACHE_CAP=0` is a *valid* setting, not an error: it cleanly
-    /// disables the prepared cache — every lookup misses, nothing is
-    /// stored, and the LRU eviction path never runs — while the kernel
-    /// cache stays active. Unset or unparsable values fall back to the
+    /// `QOR_CACHE_CAP=0` is a *valid* setting, not an error: it retains
+    /// nothing — every lookup misses, nothing is stored, and the eviction
+    /// path never runs. Unset or unparsable values fall back to the
     /// default.
     pub fn new() -> Self {
         Self::with_capacity(env_cache_cap())
     }
 
-    /// A cache with an explicit prepared-design capacity (`0` disables the
-    /// prepared cache; the kernel cache always runs).
+    /// A cache retaining at most `capacity` kernels (`0` retains nothing).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_options(capacity, env_incr_enabled())
-    }
-
-    /// A cache with an explicit prepared-design capacity and an explicit
-    /// incremental-path switch, ignoring `QOR_INCR` — benchmarks use this
-    /// to pit the LRU-only and query-database paths against each other in
-    /// one process.
-    pub fn with_options(capacity: usize, incr_enabled: bool) -> Self {
         SharedCache {
             capacity,
-            state: Mutex::new(State::default()),
+            version_cap: VERSION_CAP,
+            lru: Mutex::new(Lru::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             kernel_hits: AtomicU64::new(0),
             kernel_misses: AtomicU64::new(0),
-            incr_enabled,
-            incr: Mutex::new(HashMap::default()),
-            incr_hits: AtomicU64::new(0),
-            incr_misses: AtomicU64::new(0),
-            incr_recomputes: AtomicU64::new(0),
+            queries: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Current statistics, aggregated over every session on this cache.
     pub fn stats(&self) -> CacheStats {
-        let len = self.state.lock().unwrap().prepared.len();
+        let len = lock(&self.lru).map.len();
+        let mut incr = KindStats::default();
+        for stats in lock(&self.queries).values() {
+            incr.absorb(stats);
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -240,49 +280,78 @@ impl SharedCache {
             kernel_misses: self.kernel_misses.load(Ordering::Relaxed),
             len,
             capacity: self.capacity,
-            incr_hits: self.incr_hits.load(Ordering::Relaxed),
-            incr_misses: self.incr_misses.load(Ordering::Relaxed),
-            incr_recomputes: self.incr_recomputes.load(Ordering::Relaxed),
+            incr_hits: incr.hits,
+            incr_misses: incr.misses,
+            incr_recomputes: incr.recomputes,
         }
     }
 
-    /// Per-query-kind incremental counters, aggregated over every pipeline
-    /// database this cache owns (one per prepare fingerprint), sorted by
-    /// kind name. Servers export these as
-    /// `qor_incr_query_{hits,misses,recomputes}_total{kind=...}`.
-    pub fn incr_kind_stats(&self) -> Vec<(&'static str, ::incr::KindStats)> {
-        let mut agg: std::collections::BTreeMap<&'static str, ::incr::KindStats> =
-            std::collections::BTreeMap::new();
-        let dbs: Vec<Arc<Mutex<PipelineDb>>> =
-            self.incr.lock().unwrap().values().cloned().collect();
-        for db in dbs {
-            for (kind, stats) in db.lock().unwrap().stats() {
-                agg.entry(kind).or_default().absorb(&stats);
-            }
-        }
-        agg.into_iter().collect()
+    /// Per-query-kind incremental counters, cumulative over the cache's
+    /// lifetime (evicted kernels included), sorted by kind name. Servers
+    /// export these as `qor_incr_query_{hits,misses,recomputes}_total{kind=...}`.
+    pub fn incr_kind_stats(&self) -> Vec<(&'static str, KindStats)> {
+        let queries = lock(&self.queries);
+        queries
+            .iter()
+            .map(|(kind, stats)| (*kind, *stats))
+            .collect()
     }
 
-    /// The pipeline query database for one prepare fingerprint (created on
-    /// first use).
-    fn incr_db(&self, prepare_fp: u64) -> Arc<Mutex<PipelineDb>> {
-        self.incr
-            .lock()
-            .unwrap()
-            .entry(prepare_fp)
-            .or_insert_with(|| Arc::new(Mutex::new(crate::incr::new_db())))
-            .clone()
-    }
-
-    /// Drops every cached kernel, prepared design and incremental query
-    /// database (counters are kept: they are cumulative over the cache's
-    /// lifetime).
+    /// Drops every retained kernel and its query database (counters are
+    /// kept: they are cumulative over the cache's lifetime).
     pub fn clear(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.prepared.clear();
-        state.kernels.clear();
-        drop(state);
-        self.incr.lock().unwrap().clear();
+        *lock(&self.lru) = Lru::default();
+    }
+
+    /// Keeps the version caches of all retained kernels within
+    /// `version_cap` entries together: while they hold more, the least
+    /// recently used kernel other than `keep` drops its database.
+    fn trim_versions(&self, keep: &Arc<Entry>) {
+        let victims: Vec<Arc<Entry>> = {
+            let lru = lock(&self.lru);
+            let held = |entry: &Entry| entry.versions.load(Ordering::Relaxed);
+            let total: usize = lru.map.values().map(|(_, entry)| held(entry)).sum();
+            let mut excess = total.saturating_sub(self.version_cap);
+            let mut victims = Vec::new();
+            for key in lru.order.values() {
+                if excess == 0 {
+                    break;
+                }
+                let entry = &lru.map[key].1;
+                if held(entry) > 0 && !Arc::ptr_eq(entry, keep) {
+                    excess = excess.saturating_sub(held(entry));
+                    victims.push(entry.clone());
+                }
+            }
+            victims
+        };
+        // each database is locked on its own, never under the map's lock
+        for entry in victims {
+            *lock(&entry.db) = PipelineDb::new(self.version_cap);
+            entry.versions.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Folds one prepare's per-kind counter delta (`before` → `after`
+    /// snapshots of one database) into the cumulative counters; returns
+    /// the delta summed over kinds.
+    fn record_queries(
+        &self,
+        before: &[(&'static str, KindStats)],
+        after: &[(&'static str, KindStats)],
+    ) -> KindStats {
+        let mut total = KindStats::default();
+        let mut queries = lock(&self.queries);
+        for (kind, now) in after {
+            let was = before
+                .iter()
+                .find(|(k, _)| k == kind)
+                .map_or_else(KindStats::default, |(_, s)| *s);
+            let delta = now.delta(&was);
+            queries.entry(kind).or_default().absorb(&delta);
+            total.absorb(&delta);
+        }
+        total
     }
 }
 
@@ -290,8 +359,8 @@ impl SharedCache {
 /// [module docs](self)).
 pub struct Session {
     model: HierarchicalModel,
-    /// Folds the prepare-affecting model options into prepared-cache keys,
-    /// so sessions with different graph construction never share entries.
+    /// Folds the prepare-affecting model options into cache keys, so
+    /// sessions with different graph construction never share entries.
     prepare_fp: u64,
     cache: Arc<SharedCache>,
 }
@@ -314,14 +383,14 @@ impl Session {
         Self::with_shared(model, Arc::new(SharedCache::new()))
     }
 
-    /// Wraps a model with a private cache of explicit capacity
-    /// (`0` disables the prepared cache; the kernel cache always runs).
+    /// Wraps a model with a private cache retaining at most `capacity`
+    /// kernels (`0` retains nothing).
     pub fn with_capacity(model: HierarchicalModel, capacity: usize) -> Self {
         Self::with_shared(model, Arc::new(SharedCache::with_capacity(capacity)))
     }
 
     /// Wraps a model onto an existing [`SharedCache`], sharing memoized
-    /// kernels and prepared designs with every other session on it.
+    /// kernels and their query databases with every other session on it.
     pub fn with_shared(model: HierarchicalModel, cache: Arc<SharedCache>) -> Self {
         Session {
             prepare_fp: model.prepare_fingerprint(),
@@ -346,8 +415,8 @@ impl Session {
         self.cache.stats()
     }
 
-    /// Drops every cached kernel and prepared design (counters are kept:
-    /// they are cumulative over the cache's lifetime).
+    /// Drops every retained kernel (counters are kept: they are
+    /// cumulative over the cache's lifetime).
     pub fn clear(&self) {
         self.cache.clear();
     }
@@ -373,13 +442,11 @@ impl Session {
         kernel: &str,
         cfg: &PragmaConfig,
     ) -> Result<PredictReport, QorError> {
-        let source = kernels::kernel_source(kernel)
-            .ok_or_else(|| QorError::UnknownKernel(kernel.to_string()))?;
-        self.predict_source_report(kernel, source, cfg)
+        self.predict_source_report(kernel, bundled_source(kernel)?, cfg)
     }
 
     /// Predicts the QoR of `top` in an arbitrary HLS-C `source` under
-    /// `cfg`, caching the lowered function and the prepared front half.
+    /// `cfg`, caching the lowered function and its query database.
     ///
     /// # Errors
     ///
@@ -410,191 +477,41 @@ impl Session {
         source: &str,
         cfg: &PragmaConfig,
     ) -> Result<PredictReport, QorError> {
-        let khash = kernel_key(top, source);
-        let (func, kernel_cache_hit, lower_us) = self.function_cached(khash, top, source)?;
-        let (prepared, prepared_cache_hit, prepare_us, incr) =
-            self.prepared_cached(khash, &func, cfg);
+        let (prepared, mut report) = self.front_half(top, source, cfg)?;
         let t = Instant::now();
-        let qor = self.model.predict_prepared(&prepared);
-        let infer_us = t.elapsed().as_micros() as u64;
-        let report = PredictReport {
-            qor,
-            kernel_cache_hit,
-            prepared_cache_hit,
-            lower_us,
-            prepare_us,
-            infer_us,
-            incr,
-        };
+        report.qor = self.model.predict_prepared(&prepared);
+        report.infer_us = t.elapsed().as_micros() as u64;
         if obs::log::enabled(Level::Debug) {
             obs::log::event(
                 Level::Debug,
                 "session.predict",
                 &[
                     ("top", Json::str(top)),
-                    ("kernel_hit", Json::Bool(kernel_cache_hit)),
-                    ("prepared_hit", Json::Bool(prepared_cache_hit)),
-                    ("lower_us", Json::UInt(lower_us)),
-                    ("prepare_us", Json::UInt(prepare_us)),
-                    ("infer_us", Json::UInt(infer_us)),
+                    ("kernel_hit", Json::Bool(report.kernel_cache_hit)),
+                    ("prepared_hit", Json::Bool(report.prepared_cache_hit)),
+                    ("lower_us", Json::UInt(report.lower_us)),
+                    ("prepare_us", Json::UInt(report.prepare_us)),
+                    ("infer_us", Json::UInt(report.infer_us)),
                 ],
             );
         }
         Ok(report)
     }
 
-    /// The lowered function of a bundled kernel, from cache when warm
-    /// (DSE oracles need the [`Function`] itself).
+    /// The lowered function of a bundled kernel, from the kernel map when
+    /// retained (DSE oracles need the [`Function`] itself).
     ///
     /// # Errors
     ///
     /// [`QorError::UnknownKernel`] for names outside the bundled set.
     pub fn kernel_function(&self, kernel: &str) -> Result<Arc<Function>, QorError> {
-        let source = kernels::kernel_source(kernel)
-            .ok_or_else(|| QorError::UnknownKernel(kernel.to_string()))?;
-        let (func, _, _) = self.function_cached(kernel_key(kernel, source), kernel, source)?;
-        Ok(func)
+        let (entry, _, _) = self.entry(kernel, bundled_source(kernel)?)?;
+        Ok(entry.func.clone())
     }
 
-    /// Looks up (or lowers) the kernel; returns the function, whether the
-    /// cache answered, and the microseconds spent lowering on a miss.
-    fn function_cached(
-        &self,
-        khash: u64,
-        top: &str,
-        source: &str,
-    ) -> Result<(Arc<Function>, bool, u64), QorError> {
-        let cache = &*self.cache;
-        if let Some(func) = cache.state.lock().unwrap().kernels.get(&khash) {
-            cache.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter_add("session/kernel/hits", 1);
-            return Ok((func.clone(), true, 0));
-        }
-        // lower outside the lock: parsing is the expensive part, and two
-        // racing threads produce identical functions anyway
-        cache.kernel_misses.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::counter_add("session/kernel/misses", 1);
-        let t = Instant::now();
-        let program = frontc::parse(source)?;
-        let module = hir::lower(&program)?;
-        let func = Arc::new(
-            module
-                .function(top)
-                .ok_or_else(|| QorError::UnknownKernel(top.to_string()))?
-                .clone(),
-        );
-        let lower_us = t.elapsed().as_micros() as u64;
-        cache
-            .state
-            .lock()
-            .unwrap()
-            .kernels
-            .entry(khash)
-            .or_insert_with(|| func.clone());
-        Ok((func, false, lower_us))
-    }
-
-    /// Looks up (or builds) the prepared front half; returns the design,
-    /// whether the cache answered, the microseconds spent preparing on a
-    /// miss, and the incremental query counts of that build.
-    fn prepared_cached(
-        &self,
-        khash: u64,
-        func: &Arc<Function>,
-        cfg: &PragmaConfig,
-    ) -> (Arc<PreparedDesign>, bool, u64, IncrCounts) {
-        let cache = &*self.cache;
-        let key = design_key(self.prepare_fp, khash, cfg);
-        if cache.capacity > 0 {
-            let mut state = cache.state.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some((last_used, prepared)) = state.prepared.get_mut(&key) {
-                *last_used = tick;
-                let prepared = prepared.clone();
-                drop(state);
-                cache.hits.fetch_add(1, Ordering::Relaxed);
-                obs::metrics::counter_add("session/cache/hits", 1);
-                return (prepared, true, 0, IncrCounts::default());
-            }
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::counter_add("session/cache/misses", 1);
-        // prepare outside the LRU lock so whole-design lookups don't
-        // serialize behind it; the incremental path serializes per
-        // pipeline database, which is what lets neighbors share memos.
-        // Either way racing threads compute bit-identical designs.
-        let t = Instant::now();
-        let (prepared, incr) = self.build_prepared(khash, func, cfg);
-        let prepare_us = t.elapsed().as_micros() as u64;
-        if cache.capacity > 0 {
-            let mut state = cache.state.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
-            state.prepared.insert(key, (tick, prepared.clone()));
-            while state.prepared.len() > cache.capacity {
-                // O(len) scan; capacities are small enough that a heap
-                // would cost more in bookkeeping than it saves
-                let oldest = state
-                    .prepared
-                    .iter()
-                    .min_by_key(|(_, (last_used, _))| *last_used)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty map");
-                state.prepared.remove(&oldest);
-                cache.evictions.fetch_add(1, Ordering::Relaxed);
-                obs::metrics::counter_add("session/cache/evictions", 1);
-            }
-            obs::metrics::gauge_set("session/cache/size", state.prepared.len() as f64);
-        }
-        (prepared, false, prepare_us, incr)
-    }
-
-    /// Builds a prepared front half on a prepared-cache miss.
-    ///
-    /// With incremental queries enabled (`QOR_INCR != "0"`, the default)
-    /// this runs through the per-prepare-fingerprint [`PipelineDb`], so
-    /// pragma-neighbor configurations reuse every per-loop subgraph whose
-    /// read support did not change. `QOR_INCR=0` falls back to a
-    /// from-scratch [`HierarchicalModel::prepare`]. Both paths produce
-    /// byte-identical designs; the differential tests pin that.
-    fn build_prepared(
-        &self,
-        khash: u64,
-        func: &Arc<Function>,
-        cfg: &PragmaConfig,
-    ) -> (Arc<PreparedDesign>, IncrCounts) {
-        let cache = &*self.cache;
-        if !cache.incr_enabled {
-            return (
-                Arc::new(self.model.prepare(func.clone(), cfg.clone())),
-                IncrCounts::default(),
-            );
-        }
-        let db = cache.incr_db(self.prepare_fp);
-        let mut db = db.lock().unwrap();
-        let (prepared, incr) = crate::incr::prepare_design(
-            &mut db,
-            khash,
-            func,
-            cfg,
-            self.model.options().graph_max_nodes,
-        );
-        drop(db);
-        cache.incr_hits.fetch_add(incr.hits, Ordering::Relaxed);
-        cache.incr_misses.fetch_add(incr.misses, Ordering::Relaxed);
-        cache
-            .incr_recomputes
-            .fetch_add(incr.recomputes, Ordering::Relaxed);
-        obs::metrics::counter_add("incr/hits", incr.hits);
-        obs::metrics::counter_add("incr/misses", incr.misses);
-        obs::metrics::counter_add("incr/recomputes", incr.recomputes);
-        (Arc::new(prepared), incr)
-    }
-
-    /// Builds (or fetches) the prepared front half of a bundled kernel
-    /// without running inference; returns the design and a report whose
-    /// `qor` is zeroed and `infer_us` is 0.
+    /// Builds the prepared front half of a bundled kernel without running
+    /// inference; returns the design and a report whose `qor` is zeroed
+    /// and `infer_us` is 0.
     ///
     /// This is the benchmarking entry point: `qor-bench incr_sweep` uses
     /// it to time prepare cost in isolation and to compare incremental
@@ -609,12 +526,92 @@ impl Session {
         kernel: &str,
         cfg: &PragmaConfig,
     ) -> Result<(Arc<PreparedDesign>, PredictReport), QorError> {
-        let source = kernels::kernel_source(kernel)
-            .ok_or_else(|| QorError::UnknownKernel(kernel.to_string()))?;
-        let khash = kernel_key(kernel, source);
-        let (func, kernel_cache_hit, lower_us) = self.function_cached(khash, kernel, source)?;
-        let (prepared, prepared_cache_hit, prepare_us, incr) =
-            self.prepared_cached(khash, &func, cfg);
+        self.front_half(kernel, bundled_source(kernel)?, cfg)
+    }
+
+    /// Looks up (or lowers and inserts) the kernel entry; returns it,
+    /// whether the map answered, and the microseconds spent lowering on a
+    /// miss.
+    fn entry(&self, top: &str, source: &str) -> Result<(Arc<Entry>, bool, u64), QorError> {
+        let cache = &*self.cache;
+        let key = (self.prepare_fp, kernel_key(top, source));
+        if let Some(entry) = lock(&cache.lru).get(key) {
+            cache.kernel_hits.fetch_add(1, Ordering::Relaxed);
+            obs::metrics::counter_add("session/kernel/hits", 1);
+            return Ok((entry, true, 0));
+        }
+        // lower outside the lock: parsing is the expensive part, and two
+        // racing threads produce identical functions anyway
+        cache.kernel_misses.fetch_add(1, Ordering::Relaxed);
+        obs::metrics::counter_add("session/kernel/misses", 1);
+        let t = Instant::now();
+        let program = frontc::parse(source)?;
+        let module = hir::lower(&program)?;
+        let func = module
+            .function(top)
+            .ok_or_else(|| QorError::UnknownKernel(top.to_string()))?
+            .clone();
+        let lower_us = t.elapsed().as_micros() as u64;
+        let entry = Arc::new(Entry {
+            func: Arc::new(func),
+            db: Mutex::new(PipelineDb::new(cache.version_cap)),
+            versions: AtomicUsize::new(0),
+        });
+        if cache.capacity == 0 {
+            return Ok((entry, false, lower_us));
+        }
+        let mut lru = lock(&cache.lru);
+        let (entry, evicted) = lru.insert(key, entry, cache.capacity);
+        let len = lru.map.len();
+        drop(lru);
+        if evicted > 0 {
+            cache.evictions.fetch_add(evicted, Ordering::Relaxed);
+            obs::metrics::counter_add("session/cache/evictions", evicted);
+        }
+        obs::metrics::gauge_set("session/cache/size", len as f64);
+        Ok((entry, false, lower_us))
+    }
+
+    /// Runs the front half of `top` under `cfg` through the kernel's query
+    /// database; returns the design and a report with a zeroed `qor`.
+    fn front_half(
+        &self,
+        top: &str,
+        source: &str,
+        cfg: &PragmaConfig,
+    ) -> Result<(Arc<PreparedDesign>, PredictReport), QorError> {
+        let (entry, kernel_cache_hit, lower_us) = self.entry(top, source)?;
+        let t = Instant::now();
+        // one lock per kernel: prepares of different kernels run in
+        // parallel, while neighbors of one kernel share its memos
+        let mut db = lock(&entry.db);
+        let before = db.stats();
+        let prepared = crate::incr::prepare_design(
+            &mut db,
+            &entry.func,
+            cfg,
+            self.model.options().graph_max_nodes,
+        );
+        let incr = self.cache.record_queries(&before, &db.stats());
+        entry.versions.store(db.version_count(), Ordering::Relaxed);
+        drop(db);
+        let prepared_cache_hit = incr.misses + incr.recomputes == 0;
+        if !prepared_cache_hit {
+            self.cache.trim_versions(&entry);
+        }
+        let prepare_us = t.elapsed().as_micros() as u64;
+
+        let cache = &*self.cache;
+        if prepared_cache_hit {
+            cache.hits.fetch_add(1, Ordering::Relaxed);
+            obs::metrics::counter_add("session/cache/hits", 1);
+        } else {
+            cache.misses.fetch_add(1, Ordering::Relaxed);
+            obs::metrics::counter_add("session/cache/misses", 1);
+        }
+        obs::metrics::counter_add("incr/hits", incr.hits);
+        obs::metrics::counter_add("incr/misses", incr.misses);
+        obs::metrics::counter_add("incr/recomputes", incr.recomputes);
         let report = PredictReport {
             qor: Qor::default(),
             kernel_cache_hit,
@@ -624,28 +621,30 @@ impl Session {
             infer_us: 0,
             incr,
         };
-        Ok((prepared, report))
+        Ok((Arc::new(prepared), report))
     }
 }
 
-/// Prepared-cache capacity from the `QOR_CACHE_CAP` environment variable.
+/// Locks one of the cache's mutexes. Every critical section leaves its
+/// data consistent, but a panic inside one (a bug) must not be papered
+/// over.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("a session cache lock holder panicked")
+}
+
+/// The source of a bundled kernel.
+fn bundled_source(kernel: &str) -> Result<&'static str, QorError> {
+    kernels::kernel_source(kernel).ok_or_else(|| QorError::UnknownKernel(kernel.to_string()))
+}
+
+/// Kernel capacity from the `QOR_CACHE_CAP` environment variable.
 ///
-/// `"0"` deliberately parses to a capacity of zero (caching disabled);
-/// only an unset or unparsable value falls back to [`DEFAULT_CACHE_CAP`].
+/// `"0"` deliberately parses to a capacity of zero (retain nothing); only
+/// an unset or unparsable value falls back to [`DEFAULT_CACHE_CAP`].
 fn env_cache_cap() -> usize {
     match std::env::var("QOR_CACHE_CAP") {
         Ok(v) => v.trim().parse::<usize>().unwrap_or(DEFAULT_CACHE_CAP),
         Err(_) => DEFAULT_CACHE_CAP,
-    }
-}
-
-/// Whether prepared-cache misses run through the incremental query
-/// database, from the `QOR_INCR` environment variable. On by default;
-/// only an explicit `QOR_INCR=0` selects the from-scratch prepare path.
-fn env_incr_enabled() -> bool {
-    match std::env::var("QOR_INCR") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => true,
     }
 }
 
@@ -658,16 +657,6 @@ fn kernel_key(top: &str, source: &str) -> u64 {
     h.finish()
 }
 
-/// Stable key of a `(model prepare options, kernel, pragma config)`
-/// triple.
-fn design_key(prepare_fp: u64, khash: u64, cfg: &PragmaConfig) -> u64 {
-    let mut h = Fnv1aHasher::new();
-    h.write_u64(prepare_fp);
-    h.write_u64(khash);
-    h.write_u64(cfg.fingerprint());
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,6 +666,24 @@ mod tests {
     fn tiny_session(capacity: usize) -> Session {
         let opts = TrainOptions::quick().with_hidden(12).with_epochs(1);
         Session::with_capacity(HierarchicalModel::new(&opts), capacity)
+    }
+
+    impl SharedCache {
+        /// The retained kernels, in no particular order.
+        fn entries(&self) -> Vec<Arc<Entry>> {
+            let lru = lock(&self.lru);
+            lru.map.values().map(|(_, entry)| entry.clone()).collect()
+        }
+
+        fn memo_count(&self) -> usize {
+            let entries = self.entries();
+            entries.iter().map(|e| lock(&e.db).memo_count()).sum()
+        }
+
+        fn version_count(&self) -> usize {
+            let entries = self.entries();
+            entries.iter().map(|e| lock(&e.db).version_count()).sum()
+        }
     }
 
     #[test]
@@ -707,27 +714,51 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
+    fn lru_evicts_the_least_recently_used_kernel() {
         let session = tiny_session(2);
-        let space = kernels::design_space(&kernels::lower_kernel("mvt").unwrap());
-        let configs = space.enumerate_capped(3);
-        assert_eq!(configs.len(), 3);
-        session.predict_kernel("mvt", &configs[0]).unwrap(); // {0}
-        session.predict_kernel("mvt", &configs[1]).unwrap(); // {0,1}
-        session.predict_kernel("mvt", &configs[0]).unwrap(); // touch 0
-        session.predict_kernel("mvt", &configs[2]).unwrap(); // evicts 1
-        session.predict_kernel("mvt", &configs[0]).unwrap(); // still cached
+        let cfg = PragmaConfig::default();
+        session.predict_kernel("gemm", &cfg).unwrap(); // {gemm}
+        session.predict_kernel("mvt", &cfg).unwrap(); // {gemm, mvt}
+        session.predict_kernel("gemm", &cfg).unwrap(); // touch gemm
+        session.predict_kernel("bicg", &cfg).unwrap(); // evicts mvt
+        session.predict_kernel("gemm", &cfg).unwrap(); // still retained
         let stats = session.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.hits, 2);
         assert_eq!(stats.len, 2);
-        // config 1 was evicted: querying it again misses
-        session.predict_kernel("mvt", &configs[1]).unwrap();
-        assert_eq!(session.stats().misses, 4);
+        assert_eq!((stats.kernel_hits, stats.kernel_misses), (2, 3));
+        assert_eq!(stats.hits, 2, "gemm repeats execute no query");
+        // mvt was evicted with its database: querying it again lowers and
+        // prepares from scratch
+        let report = session.predict_kernel_report("mvt", &cfg).unwrap();
+        assert!(!report.kernel_cache_hit && !report.prepared_cache_hit);
+        assert_eq!(session.stats().evictions, 2, "gemm is now the oldest");
     }
 
     #[test]
-    fn zero_capacity_disables_the_prepared_cache() {
+    fn revisited_design_executes_no_query() {
+        let session = tiny_session(8);
+        let space = kernels::design_space(&kernels::lower_kernel("mvt").unwrap());
+        let configs = space.enumerate_capped(2);
+        let (a, b) = (&configs[0], &configs[1]);
+        let first = session.predict_kernel_report("mvt", a).unwrap();
+        assert!(!first.prepared_cache_hit);
+        assert!(first.incr.misses > 0);
+        assert!(
+            !session
+                .predict_kernel_report("mvt", b)
+                .unwrap()
+                .prepared_cache_hit
+        );
+        // A -> B -> A: the version cache answers every query of the revisit
+        let again = session.predict_kernel_report("mvt", a).unwrap();
+        assert!(again.prepared_cache_hit, "{again:?}");
+        assert_eq!((again.incr.misses, again.incr.recomputes), (0, 0));
+        assert!(again.incr.reused > 0, "{again:?}");
+        assert_eq!(again.qor, first.qor);
+    }
+
+    #[test]
+    fn zero_capacity_retains_nothing() {
         let session = tiny_session(0);
         let cfg = PragmaConfig::default();
         let a = session.predict_kernel("gemm", &cfg).unwrap();
@@ -737,7 +768,80 @@ mod tests {
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.len, 0);
-        assert_eq!(stats.kernel_hits, 1, "kernel cache still active");
+        assert_eq!((stats.kernel_hits, stats.kernel_misses), (0, 2));
+        assert_eq!(session.shared_cache().memo_count(), 0);
+    }
+
+    #[test]
+    fn distinct_sources_stay_bounded() {
+        // a server fed ever-new inline sources: retained kernels and their
+        // memos plateau at the capacity instead of growing with the stream
+        const SOURCES: u64 = 10_000;
+        // derived memos of one synthetic kernel: a hierarchy plus a role,
+        // region config and prepared region per loop (about 7 on average;
+        // one database per model would hold ~70,000 after this stream)
+        const MEMOS_PER_KERNEL: usize = 32;
+        let opts = TrainOptions::quick().with_hidden(4).with_epochs(1);
+        let session = Session::with_capacity(HierarchicalModel::new(&opts), DEFAULT_CACHE_CAP);
+        let cfg = PragmaConfig::default();
+        let mut predicted = 0;
+        for seed in 0..SOURCES {
+            let source = kernels::synthetic_kernel(seed);
+            if session
+                .predict_source(&format!("synth{seed}"), &source, &cfg)
+                .is_ok()
+            {
+                predicted += 1;
+            }
+        }
+        let stats = session.stats();
+        assert!(predicted > SOURCES / 2, "only {predicted} predictions");
+        assert_eq!(stats.kernel_misses, SOURCES);
+        assert!(stats.len <= DEFAULT_CACHE_CAP, "{stats:?}");
+        assert!(stats.evictions >= predicted - DEFAULT_CACHE_CAP as u64);
+        let memos = session.shared_cache().memo_count();
+        assert!(
+            memos < MEMOS_PER_KERNEL * DEFAULT_CACHE_CAP,
+            "{memos} memos retained"
+        );
+        assert!(session.shared_cache().version_count() <= VERSION_CAP);
+    }
+
+    #[test]
+    fn version_caches_share_one_budget() {
+        // several configurations of several kernels: no database alone
+        // reaches the budget, but together they execute more queries
+        const BUDGET: usize = 24;
+        let mut cache = SharedCache::with_capacity(8);
+        cache.version_cap = BUDGET;
+        let opts = TrainOptions::quick().with_hidden(12).with_epochs(1);
+        let session = Session::with_shared(HierarchicalModel::new(&opts), Arc::new(cache));
+        let names = ["gemm", "mvt", "bicg"];
+        let funcs: Vec<Function> = names
+            .iter()
+            .map(|name| kernels::lower_kernel(name).unwrap())
+            .collect();
+        let spaces: Vec<Vec<PragmaConfig>> = funcs
+            .iter()
+            .map(|func| kernels::design_space(func).enumerate_capped(4))
+            .collect();
+        for round in 0..4 {
+            for ((name, func), configs) in names.iter().zip(&funcs).zip(&spaces) {
+                let cfg = &configs[round];
+                let got = session.predict_kernel(name, cfg).unwrap();
+                assert_eq!(got, session.model().predict(func, cfg), "{name} #{round}");
+                let versions = session.shared_cache().version_count();
+                assert!(
+                    versions <= BUDGET,
+                    "{versions} versions after {name} #{round}"
+                );
+            }
+        }
+        let stats = session.stats();
+        let executions = stats.incr_misses + stats.incr_recomputes;
+        assert!(executions > BUDGET as u64, "{stats:?}");
+        assert_eq!(stats.len, names.len(), "trimming keeps every kernel");
+        assert_eq!(stats.kernel_misses, names.len() as u64);
     }
 
     #[test]

@@ -221,6 +221,11 @@ impl<K: Key, V: Value> QueryDb<K, V> {
         self.memos.len()
     }
 
+    /// Number of entries in the cross-revision version cache.
+    pub fn version_count(&self) -> usize {
+        self.versions.len()
+    }
+
     /// Sets an input. Returns `true` (and advances the revision) only if
     /// the value actually changed per [`Value::eq_value`].
     pub fn set_input(&mut self, key: K, value: V) -> bool {

@@ -114,23 +114,40 @@ where
 
     let t0 = Instant::now();
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let begin = Instant::now();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let begin = Instant::now();
+                    loop {
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= n {
+                            break;
+                        }
+                        let end = (start + chunk).min(n);
+                        let mut out = Vec::with_capacity(end - start);
+                        for (i, item) in items[start..end].iter().enumerate() {
+                            out.push(f(start + i, item));
+                        }
+                        done.lock().unwrap().push((start, out));
                     }
-                    let end = (start + chunk).min(n);
-                    let mut out = Vec::with_capacity(end - start);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        out.push(f(start + i, item));
-                    }
-                    done.lock().unwrap().push((start, out));
-                }
-                busy_ns.fetch_add(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            });
+                    busy_ns.fetch_add(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        // Join every worker explicitly: `scope` alone returns once the
+        // closures finish, which can be before the OS threads have exited.
+        // A thread hands its malloc arena back only on exit, so without the
+        // join the next call's workers may find no free arena and create
+        // fresh ones, and the peak RSS of a long run of calls (one training
+        // fit spawns workers per mini-batch) then depends on scheduling.
+        let mut panic = None;
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     });
     let wall_ns = t0.elapsed().as_nanos().max(1) as u64;
@@ -179,8 +196,16 @@ mod tests {
     /// Serializes tests that install a thread-count override.
     static LOCK: Mutex<()> = Mutex::new(());
 
+    /// Takes [`LOCK`] even when a test panicked while holding it (the
+    /// panic-propagation test does so on purpose), so that test's poison
+    /// never fails another test.
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         set_threads(Some(n));
         let out = f();
         set_threads(None);
@@ -257,7 +282,7 @@ mod tests {
 
     #[test]
     fn override_beats_env() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         set_threads(Some(3));
         assert_eq!(threads(), 3);
         set_threads(None);

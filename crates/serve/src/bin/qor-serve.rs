@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qor-serve [--addr HOST:PORT] [--checkpoint FILE | --train-quick]
-//!           [--model NAME=FILE]... [--save FILE] [--cache-cap N]
+//!           [--model NAME=FILE]... [--save FILE] [--cache-cap KERNELS]
 //!           [--batch-max N] [--batch-wait-us N] [--no-batch] [--self-test]
 //! ```
 //!
@@ -25,6 +25,11 @@
 //! and `QOR_BATCH_WAIT_US`); `--no-batch` serves every request inline on
 //! its connection thread instead.
 //!
+//! `--cache-cap KERNELS` bounds the session cache: how many kernels
+//! (lowered function plus incremental query database each) stay
+//! memoized, least recently used first out. It overrides `QOR_CACHE_CAP`
+//! (default 256); `0` retains nothing.
+//!
 //! `--save FILE` writes the default model (after loading/training) as a
 //! checkpoint and keeps serving. `--self-test` skips the network-facing
 //! loop: it binds an ephemeral port, drives the full request matrix
@@ -37,9 +42,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qor_core::{HierarchicalModel, TrainOptions};
+use qor_core::{HierarchicalModel, SharedCache, TrainOptions};
 use serve::http::client_request;
-use serve::{BatchOptions, DispatchMode, ModelRegistry, Server, ServerConfig};
+use serve::{BatchOptions, DispatchMode, ModelRegistry, Server, ServerConfig, DEFAULT_MODEL};
 
 struct Args {
     addr: String,
@@ -122,7 +127,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: qor-serve [--addr HOST:PORT] [--checkpoint FILE | --train-quick] \
-                     [--model NAME=FILE]... [--save FILE] [--cache-cap N] \
+                     [--model NAME=FILE]... [--save FILE] [--cache-cap KERNELS] \
                      [--batch-max N] [--batch-wait-us N] [--no-batch] [--jobs-dir DIR] \
                      [--self-test] [--fleet-self-test [--out FILE]]"
                 );
@@ -215,8 +220,12 @@ fn main() -> ExitCode {
         }
         eprintln!("checkpoint written to {path}");
     }
-    let capacity = args.cache_cap.unwrap_or(qor_core::DEFAULT_CACHE_CAP);
-    let registry = Arc::new(ModelRegistry::with_default(model, capacity));
+    // --cache-cap overrides QOR_CACHE_CAP, which SharedCache::new reads
+    let cache = args
+        .cache_cap
+        .map_or_else(SharedCache::new, SharedCache::with_capacity);
+    let registry = Arc::new(ModelRegistry::new(Arc::new(cache)));
+    registry.install(DEFAULT_MODEL, model, "startup");
     for (name, path) in &args.models {
         match registry.load_file(name, path) {
             Ok(entry) => eprintln!("registered model {} from {path}", entry.tag()),

@@ -1,5 +1,5 @@
 //! The model registry: named model versions served concurrently, with
-//! atomic hot-reload and a shared prepared-design cache.
+//! atomic hot-reload and a shared kernel cache.
 //!
 //! # Model versions
 //!
@@ -24,11 +24,10 @@
 //! # Shared cache
 //!
 //! All sessions are created over one [`SharedCache`]
-//! ([`Session::with_shared`]): the lowered-kernel cache is fully
-//! model-independent, and prepared front halves are keyed by each model's
-//! prepare fingerprint — so a hot-reload of a same-architecture retrain
-//! keeps every memoized design warm, while models with different graph
-//! options never alias.
+//! ([`Session::with_shared`]), whose kernel entries (lowered function plus
+//! query database) are keyed by each model's prepare fingerprint — so a
+//! hot-reload of a same-architecture retrain keeps every memoized design
+//! warm, while models with different graph options never alias.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,14 +130,14 @@ impl ModelRegistry {
     }
 
     /// A registry seeded with one model under [`DEFAULT_MODEL`], its cache
-    /// shared for later versions. `capacity` bounds the prepared cache.
+    /// shared for later versions. `capacity` bounds the retained kernels.
     pub fn with_default(model: HierarchicalModel, capacity: usize) -> ModelRegistry {
         let registry = ModelRegistry::new(Arc::new(SharedCache::with_capacity(capacity)));
         registry.install(DEFAULT_MODEL, model, "startup");
         registry
     }
 
-    /// The shared prepared-design/kernel cache behind every session.
+    /// The shared kernel cache behind every session.
     pub fn cache(&self) -> &Arc<SharedCache> {
         &self.cache
     }

@@ -342,7 +342,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Cumulative statistics of the shared prepared-design/kernel cache.
+    /// Cumulative statistics of the shared kernel cache.
     pub fn stats(&self) -> CacheStats {
         self.state.registry.cache().stats()
     }
@@ -620,7 +620,7 @@ struct ReqTelemetry {
     attrs: Vec<(String, String)>,
     cache_hits: u64,
     cache_misses: u64,
-    incr: qor_core::IncrCounts,
+    incr: incr::KindStats,
 }
 
 impl ReqTelemetry {
@@ -1074,9 +1074,7 @@ fn predict_route(
         if let Some(batch) = outcome_batch_json(&outcome) {
             fields.push(("batch", batch));
         }
-        if let Some(incr) = incr_json(&report.incr) {
-            fields.push(("incr", incr));
-        }
+        fields.push(("incr", incr_json(&report.incr)));
         fields.push(("cache", cache_json(&state.registry.cache().stats())));
         Ok(Json::obj(fields).to_string())
     } else {
@@ -1091,9 +1089,7 @@ fn predict_route(
                     if let Some(batch) = outcome_batch_json(outcome) {
                         fields.push(("batch", batch));
                     }
-                    if let Some(incr) = incr_json(&report.incr) {
-                        fields.push(("incr", incr));
-                    }
+                    fields.push(("incr", incr_json(&report.incr)));
                     Json::obj(fields)
                 }
                 Err(e) => Json::obj(vec![("error", e.envelope())]),
@@ -1333,17 +1329,14 @@ fn cache_json(stats: &CacheStats) -> Json {
     ])
 }
 
-/// Per-prediction incremental-query attribution (omitted when the build
-/// ran no incremental queries, e.g. on a prepared-cache hit).
-fn incr_json(incr: &qor_core::IncrCounts) -> Option<Json> {
-    if incr.hits + incr.misses + incr.recomputes == 0 {
-        return None;
-    }
-    Some(Json::obj(vec![
+/// Per-prediction incremental-query attribution: a whole-design repeat
+/// shows hits only.
+fn incr_json(incr: &incr::KindStats) -> Json {
+    Json::obj(vec![
         ("hits", Json::UInt(incr.hits)),
         ("misses", Json::UInt(incr.misses)),
         ("recomputes", Json::UInt(incr.recomputes)),
-    ]))
+    ])
 }
 
 // ---------------------------------------------------------------- dse jobs
