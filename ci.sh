@@ -30,23 +30,16 @@ cargo test -q --release -p serve --test checkpoint_roundtrip --test corrupt
 # This is the in-tree "curl" substitute: it drives the /v1 surface end to
 # end — both batching-queue flush paths (wait-deadline and size-triggered,
 # checked against /debug/vars counters), single-flight dedup, a registry
-# hot-reload cycle (generation bump + new weights serving), deprecated
-# legacy aliases with their successor links, the typed error envelope, and
-# the observability surface (Prometheus histogram buckets, per-model and
-# batcher series, trace-ID echo, /debug/requests flight dumps).
+# hot-reload cycle (generation bump + new weights serving), the typed error
+# envelope, and the observability surface (Prometheus histogram buckets,
+# per-model and batcher series, trace-ID echo, /debug/requests flight dumps).
 echo "==> qor-serve --self-test"
 ./target/release/qor-serve --self-test
 
-# Serving determinism gates: smoke outputs must be byte-identical across
-# thread counts (timing fields are nulled; the workload_fnv checksum
-# covers predicted QoR values in request order). qor-bench additionally
-# proves direct and batched dispatch produce bit-identical predictions.
-echo "==> serve_latency --smoke determinism"
-QOR_THREADS=1 ./target/release/serve_latency --smoke --out /tmp/qor_smoke1.json >/dev/null
-QOR_THREADS=4 ./target/release/serve_latency --smoke --out /tmp/qor_smoke4.json >/dev/null
-cmp /tmp/qor_smoke1.json /tmp/qor_smoke4.json
-rm -f /tmp/qor_smoke1.json /tmp/qor_smoke4.json
-
+# Serving determinism gate: the herd smoke output must be byte-identical
+# across thread counts (timing fields are nulled; its digest covers the
+# predicted QoR values in request order), and each run proves direct and
+# batched dispatch produce bit-identical predictions.
 echo "==> qor-bench --smoke determinism"
 QOR_THREADS=1 ./target/release/qor-bench --smoke --out /tmp/qor_bench1.json >/dev/null
 QOR_THREADS=4 ./target/release/qor-bench --smoke --out /tmp/qor_bench4.json >/dev/null
@@ -127,12 +120,12 @@ echo "==> benchmark tests"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 # Library crates expose typed errors (qor_core::QorError, kernels::KernelError);
-# Box<dyn Error> is only tolerated inside comments (doctest scaffolding) and
-# in binary main() signatures, which live outside these trees.
+# Box<dyn Error> is only tolerated inside comments (doctest scaffolding), in
+# binaries (*/bin/) and in the qor-bench harness, whose subcommand `run`
+# fns return it to their bins.
 echo "==> typed-error gate"
-violations=$(grep -rn 'Box<dyn std::error::Error>' \
-    crates/core/src crates/dse/src crates/gnn/src \
-    crates/kernels/src crates/tensor/src \
+violations=$(grep -rnE --exclude-dir=bin 'Box<dyn (std::error::)?Error>' src crates/*/src \
+    | grep -v '^crates/bench/' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$violations" ]; then
     echo "public APIs must use typed errors, not Box<dyn Error>:" >&2

@@ -10,20 +10,20 @@ use qor_core::TrainOptions;
 pub mod fleet_scaling;
 pub mod fuzz;
 pub mod incr_sweep;
-pub mod timing;
 pub mod trajectory;
 
 /// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Minutes-scale run (default).
+    #[default]
     Quick,
     /// Paper-scale run (hundreds of designs per kernel, 250 epochs).
     Paper,
 }
 
 /// Parsed command-line options shared by the binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Selected scale.
     pub scale: Scale,
@@ -33,27 +33,13 @@ pub struct Cli {
     pub epochs: Option<usize>,
     /// Optional cap on DSE configurations per kernel.
     pub dse_configs: Option<usize>,
-    /// Optional worker-count override (the `scaling` binary's upper point).
-    pub threads: Option<usize>,
-}
-
-impl Default for Cli {
-    fn default() -> Self {
-        Cli {
-            scale: Scale::Quick,
-            designs: None,
-            epochs: None,
-            dse_configs: None,
-            threads: None,
-        }
-    }
 }
 
 impl Cli {
     /// Parses `std::env::args`.
     ///
     /// Recognized flags: `--paper`, `--quick`, `--designs N`, `--epochs N`,
-    /// `--dse-configs N`, `--threads N`.
+    /// `--dse-configs N`.
     pub fn parse() -> Self {
         let mut cli = Cli::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,10 +59,6 @@ impl Cli {
                 "--dse-configs" => {
                     i += 1;
                     cli.dse_configs = args.get(i).and_then(|v| v.parse().ok());
-                }
-                "--threads" => {
-                    i += 1;
-                    cli.threads = args.get(i).and_then(|v| v.parse().ok());
                 }
                 other => eprintln!("ignoring unknown flag {other:?}"),
             }
@@ -156,7 +138,6 @@ mod tests {
             designs: Some(10),
             epochs: Some(3),
             dse_configs: Some(25),
-            threads: Some(4),
         };
         let opts = cli.train_options();
         assert_eq!(opts.data.max_designs_per_kernel, 10);

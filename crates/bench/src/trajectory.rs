@@ -1,18 +1,16 @@
 //! Append-only benchmark trajectories.
 //!
-//! `BENCH_serve.json` used to be a single JSON object that every run
-//! overwrote, which destroyed the history a trajectory file exists to
-//! keep. It is now a schema-versioned document holding an *array* of
-//! entries:
+//! Every `BENCH_*.json` is a schema-versioned document holding an *array*
+//! of entries:
 //!
 //! ```json
 //! {"schema":"qor-bench-serve/v2","entries":[{...},{...}]}
 //! ```
 //!
-//! [`append`] reads the existing document (migrating a legacy v1
-//! single-object file into the first entry, and the entries of a document
-//! under an earlier version of the same schema family verbatim), pushes
-//! the new entry and rewrites the file under the current schema. Entries
+//! [`append`] reads the existing document (carrying the entries of a
+//! document under an earlier version of the same schema family over
+//! verbatim), pushes the new entry and rewrites the file under the current
+//! schema. Entries
 //! are kept verbatim as the bytes they were written with, so appending
 //! never reformats history.
 
@@ -34,7 +32,7 @@ pub const INCR_SCHEMA: &str = "qor-bench-incr/v2";
 pub const FLEET_SCHEMA: &str = "qor-bench-fleet/v1";
 
 /// Appends `entry` to the trajectory document at `path`, creating the
-/// document (or migrating a legacy single-object file) as needed.
+/// document as needed.
 /// Returns the number of entries the document now holds.
 pub fn append(path: &Path, schema: &str, entry: &Json) -> io::Result<usize> {
     let mut entries = match std::fs::read_to_string(path) {
@@ -58,20 +56,16 @@ pub fn append(path: &Path, schema: &str, entry: &Json) -> io::Result<usize> {
 }
 
 /// Extracts the existing entries (as verbatim JSON strings) from a
-/// trajectory document of `schema`'s family (any version); a legacy
-/// single-object file becomes the sole entry, an empty/blank file none.
+/// trajectory document of `schema`'s family (any version); an empty/blank
+/// file holds none.
 fn parse_entries(text: &str, schema: &str) -> Result<Vec<String>, String> {
     let trimmed = text.trim();
     if trimmed.is_empty() {
         return Ok(Vec::new());
     }
     let Some(body) = document_body(trimmed, schema) else {
-        // legacy v1: one bare object per file — migrate it as entry 0
-        if trimmed.starts_with('{') && trimmed.ends_with('}') {
-            return Ok(vec![trimmed.to_string()]);
-        }
         return Err(format!(
-            "neither a {schema} document nor a legacy object: {:?}...",
+            "not a {schema} document: {:?}...",
             &trimmed[..trimmed.len().min(40)]
         ));
     };
@@ -166,24 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn migrates_a_legacy_single_object_file() {
-        let path = tmp("legacy");
-        std::fs::write(
-            &path,
-            "{\"bench\":\"serve_latency\",\"measured\":{\"p99_us\":42,\"tag\":\"a,b]}\"}}\n",
-        )
-        .unwrap();
-        assert_eq!(append(&path, SERVE_SCHEMA, &entry(9)).unwrap(), 2);
-        let text = std::fs::read_to_string(&path).unwrap();
-        // the legacy object survives verbatim as entry 0
-        let legacy = text.find("\"p99_us\":42").unwrap();
-        let fresh = text.find("\"n\":9").unwrap();
-        assert!(legacy < fresh, "{text}");
-        serve::json::parse(&text).unwrap();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn earlier_schema_version_entries_carry_over() {
         let path = tmp("v1");
         let old = "{\"schema\":\"qor-bench-incr/v1\",\"entries\":[\n{\"n\":1,\"warm_us\":5},\n{\"n\":2}\n]}\n";
@@ -200,11 +176,14 @@ mod tests {
     #[test]
     fn rejects_garbage_instead_of_clobbering_it() {
         let path = tmp("garbage");
-        std::fs::write(&path, "not json at all").unwrap();
-        let err = append(&path, SERVE_SCHEMA, &entry(1)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // the file is untouched
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "not json at all");
+        // a bare object (no schema document) is refused like any garbage
+        for garbage in ["not json at all", "{\"bench\":\"t\",\"n\":1}"] {
+            std::fs::write(&path, garbage).unwrap();
+            let err = append(&path, SERVE_SCHEMA, &entry(1)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            // the file is untouched
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), garbage);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

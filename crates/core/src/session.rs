@@ -35,7 +35,10 @@
 //!
 //! Kernel hashes use [`crate::Fnv1aHasher`], so they are stable across
 //! processes, and eviction follows a use-order clock, never map iteration
-//! order, so hit and eviction patterns are reproducible.
+//! order, so hit and eviction patterns are reproducible. A 64-bit hash is
+//! not collision resistant, so every entry keeps its `top` and source and
+//! a hit must match them: a colliding kernel misses, is lowered afresh and
+//! leaves the resident entry in place.
 //!
 //! Hit/miss/eviction counts are kept in cache-local counters (exported by
 //! [`Session::stats`] / [`SharedCache::stats`]) and mirrored into the
@@ -150,11 +153,22 @@ impl PredictReport {
 
 /// One retained kernel: its lowered function and its query database.
 struct Entry {
+    /// What `func` was lowered from; a lookup must match both.
+    top: Box<str>,
+    source: Box<str>,
     func: Arc<Function>,
     db: Mutex<PipelineDb>,
     /// `db`'s version count after its last prepare, readable under the
     /// map's lock alone.
     versions: AtomicUsize,
+}
+
+impl Entry {
+    /// Whether this entry is `top` of `source`, not merely a kernel whose
+    /// key collides with it.
+    fn holds(&self, top: &str, source: &str) -> bool {
+        *self.top == *top && *self.source == *source
+    }
 }
 
 /// `(model prepare fingerprint, kernel hash)`.
@@ -180,12 +194,19 @@ impl Lru {
         Some(entry.clone())
     }
 
-    /// Inserts `entry` unless a racing thread already did (the retained
-    /// entry wins, so both threads share one database), then evicts down
-    /// to `capacity`. Returns the retained entry and the eviction count.
+    /// Inserts `entry` unless `key` is taken, then evicts down to
+    /// `capacity`. A racing thread's entry for the same kernel wins, so
+    /// both threads share one database; a colliding kernel's entry keeps
+    /// its slot and `entry` comes back unretained. Returns the entry to
+    /// use and the eviction count.
     fn insert(&mut self, key: EntryKey, entry: Arc<Entry>, capacity: usize) -> (Arc<Entry>, u64) {
         if let Some(existing) = self.get(key) {
-            return (existing, 0);
+            let kept = if existing.holds(&entry.top, &entry.source) {
+                existing
+            } else {
+                entry
+            };
+            return (kept, 0);
         }
         self.clock += 1;
         self.map.insert(key, (self.clock, entry.clone()));
@@ -535,7 +556,8 @@ impl Session {
     fn entry(&self, top: &str, source: &str) -> Result<(Arc<Entry>, bool, u64), QorError> {
         let cache = &*self.cache;
         let key = (self.prepare_fp, kernel_key(top, source));
-        if let Some(entry) = lock(&cache.lru).get(key) {
+        let resident = lock(&cache.lru).get(key);
+        if let Some(entry) = resident.filter(|entry| entry.holds(top, source)) {
             cache.kernel_hits.fetch_add(1, Ordering::Relaxed);
             obs::metrics::counter_add("session/kernel/hits", 1);
             return Ok((entry, true, 0));
@@ -553,6 +575,8 @@ impl Session {
             .clone();
         let lower_us = t.elapsed().as_micros() as u64;
         let entry = Arc::new(Entry {
+            top: top.into(),
+            source: source.into(),
             func: Arc::new(func),
             db: Mutex::new(PipelineDb::new(cache.version_cap)),
             versions: AtomicUsize::new(0),
@@ -905,6 +929,36 @@ mod tests {
             "void f(float a[8], float b[8]) { for (int i = 0; i < 8; i++) { b[i] = a[i] + 1.0; } }";
         session.predict_source("f", src2, &cfg).unwrap();
         assert_eq!(session.stats().kernel_misses, 2);
+    }
+
+    #[test]
+    fn colliding_kernel_key_is_a_miss_that_keeps_the_resident_entry() {
+        let session = tiny_session(4);
+        let cfg = PragmaConfig::default();
+        let a = kernels::kernel_source("gemm").unwrap();
+        let b = kernels::kernel_source("mvt").unwrap();
+        session.predict_source("gemm", a, &cfg).unwrap();
+        // plant gemm's entry under mvt's key, as a hash collision would
+        let key_b = (session.prepare_fp, kernel_key("mvt", b));
+        let planted = {
+            let mut lru = lock(&session.cache.lru);
+            let planted = lru
+                .get((session.prepare_fp, kernel_key("gemm", a)))
+                .unwrap();
+            lru.insert(key_b, planted.clone(), 4);
+            planted
+        };
+        let uncached = session
+            .model()
+            .predict(&kernels::lower_kernel("mvt").unwrap(), &cfg);
+        for _ in 0..2 {
+            let report = session.predict_source_report("mvt", b, &cfg).unwrap();
+            assert!(!report.kernel_cache_hit, "{report:?}");
+            assert_eq!(report.qor, uncached);
+        }
+        assert_eq!(session.stats().kernel_misses, 3);
+        let resident = lock(&session.cache.lru).get(key_b).unwrap();
+        assert!(Arc::ptr_eq(&resident, &planted), "resident entry replaced");
     }
 
     #[test]

@@ -212,25 +212,6 @@ pub fn open<'a>(
     magic: &[u8; 8],
     version: u32,
 ) -> Result<(u8, Cursor<'a>), QorError> {
-    let (_, kind, cursor) = open_range(bytes, magic, version, version)?;
-    Ok((kind, cursor))
-}
-
-/// [`open`] for formats that accept a window of versions: returns the
-/// version actually found alongside the kind byte and payload cursor, so
-/// readers can branch on older layouts while still rejecting future ones.
-///
-/// # Errors
-///
-/// [`QorError::Corrupt`] for short streams, bad magic, or a checksum
-/// mismatch; [`QorError::UnsupportedVersion`] for versions outside
-/// `min_version..=max_version`.
-pub fn open_range<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    min_version: u32,
-    max_version: u32,
-) -> Result<(u32, u8, Cursor<'a>), QorError> {
     let min = magic.len() + 4 + 1 + 8;
     if bytes.len() < min {
         return Err(QorError::Corrupt(format!(
@@ -242,7 +223,7 @@ pub fn open_range<'a>(
         return Err(QorError::Corrupt("bad magic".into()));
     }
     let found = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if found < min_version || found > max_version {
+    if found != version {
         return Err(QorError::UnsupportedVersion(found));
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
@@ -254,7 +235,7 @@ pub fn open_range<'a>(
         )));
     }
     let kind = bytes[12];
-    Ok((found, kind, Cursor::new(&body[13..])))
+    Ok((kind, Cursor::new(&body[13..])))
 }
 
 #[cfg(test)]
@@ -321,17 +302,6 @@ mod tests {
     fn version_mismatch_is_typed() {
         let bytes = sample();
         match open(&bytes, &MAGIC, 2) {
-            Err(QorError::UnsupportedVersion(1)) => {}
-            other => panic!("expected UnsupportedVersion(1), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn open_range_accepts_the_window_and_reports_the_found_version() {
-        let bytes = sample(); // written as version 1
-        let (found, kind, _) = open_range(&bytes, &MAGIC, 1, 2).unwrap();
-        assert_eq!((found, kind), (1, 7));
-        match open_range(&bytes, &MAGIC, 2, 3) {
             Err(QorError::UnsupportedVersion(1)) => {}
             other => panic!("expected UnsupportedVersion(1), got {other:?}"),
         }

@@ -44,7 +44,7 @@ pub struct UnitRequest<'a> {
 }
 
 /// How work units reach a worker. `serve` implements this over its HTTP
-/// wire (`POST /v1/fleet/eval` + `GET /healthz`); tests inject in-process
+/// wire (`POST /v1/fleet/eval` + `GET /v1/healthz`); tests inject in-process
 /// mocks with scripted failures.
 pub trait Transport: Send + Sync {
     /// Scores one unit on the worker at `addr`, returning one

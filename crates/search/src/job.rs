@@ -29,8 +29,6 @@ use crate::strategy::{self, StrategyKind};
 pub const JOB_MAGIC: [u8; 8] = *b"QORJOB\0\0";
 /// Current `.qorjob` format version (v2 appends the fleet section).
 pub const JOB_FORMAT_VERSION: u32 = 2;
-/// Oldest `.qorjob` format version [`restore`] still reads.
-pub const JOB_MIN_FORMAT_VERSION: u32 = 1;
 /// Record kind of a full job snapshot.
 const KIND_SNAPSHOT: u8 = 0;
 
@@ -122,27 +120,7 @@ impl FleetAssignment {
 
 /// Serializes the run into a `.qorjob` byte stream (current version).
 pub fn snapshot(run: &SearchRun) -> Vec<u8> {
-    let mut out = snapshot_body(run, JOB_FORMAT_VERSION);
-    match &run.fleet {
-        None => out.push(0),
-        Some(fleet) => {
-            out.push(1);
-            fleet.encode(&mut out);
-        }
-    }
-    wire::seal(out)
-}
-
-/// Serializes the run as a **v1** stream (no fleet section). Kept so the
-/// backward-compat suite can prove current readers still load jobs written
-/// by pre-fleet builds; new code should call [`snapshot`].
-pub fn snapshot_v1(run: &SearchRun) -> Vec<u8> {
-    wire::seal(snapshot_body(run, 1))
-}
-
-/// The version-independent prefix shared by v1 and v2 payloads.
-fn snapshot_body(run: &SearchRun, version: u32) -> Vec<u8> {
-    let mut out = wire::header(&JOB_MAGIC, version, KIND_SNAPSHOT);
+    let mut out = wire::header(&JOB_MAGIC, JOB_FORMAT_VERSION, KIND_SNAPSHOT);
     let opts = &run.opts;
     put_str(&mut out, &opts.kernel);
     out.push(opts.strategy.code());
@@ -182,7 +160,14 @@ fn snapshot_body(run: &SearchRun, version: u32) -> Vec<u8> {
         put_f64(&mut out, rec.point.1);
     }
     run.strategy.save_state(&mut out);
-    out
+    match &run.fleet {
+        None => out.push(0),
+        Some(fleet) => {
+            out.push(1);
+            fleet.encode(&mut out);
+        }
+    }
+    wire::seal(out)
 }
 
 /// Rebuilds a run from a [`snapshot`] stream.
@@ -190,18 +175,12 @@ fn snapshot_body(run: &SearchRun, version: u32) -> Vec<u8> {
 /// # Errors
 ///
 /// [`QorError::Corrupt`] for flipped bytes, truncations, trailing bytes,
-/// or malformed payloads; [`QorError::UnsupportedVersion`] for versions
-/// outside `JOB_MIN_FORMAT_VERSION..=JOB_FORMAT_VERSION` (v1 jobs written
-/// by pre-fleet builds still load, with no fleet state);
+/// or malformed payloads; [`QorError::UnsupportedVersion`] for any
+/// version other than [`JOB_FORMAT_VERSION`];
 /// [`QorError::UnknownKernel`] when the snapshot names a kernel outside
 /// the bundled set.
 pub fn restore(bytes: &[u8]) -> Result<SearchRun, QorError> {
-    let (version, kind, mut c) = wire::open_range(
-        bytes,
-        &JOB_MAGIC,
-        JOB_MIN_FORMAT_VERSION,
-        JOB_FORMAT_VERSION,
-    )?;
+    let (kind, mut c) = wire::open(bytes, &JOB_MAGIC, JOB_FORMAT_VERSION)?;
     if kind != KIND_SNAPSHOT {
         return Err(QorError::Corrupt(format!("unknown job record kind {kind}")));
     }
@@ -290,18 +269,14 @@ pub fn restore(bytes: &[u8]) -> Result<SearchRun, QorError> {
     run.index = index;
     run.front = front;
     run.strategy = strategy::load_state(strategy_kind, &mut c)?;
-    run.fleet = if version >= 2 {
-        match c.u8("fleet flag")? {
-            0 => None,
-            1 => Some(FleetAssignment::decode(&mut c)?),
-            other => {
-                return Err(QorError::Corrupt(format!(
-                    "fleet flag must be 0/1, found {other}"
-                )))
-            }
+    run.fleet = match c.u8("fleet flag")? {
+        0 => None,
+        1 => Some(FleetAssignment::decode(&mut c)?),
+        other => {
+            return Err(QorError::Corrupt(format!(
+                "fleet flag must be 0/1, found {other}"
+            )))
         }
-    } else {
-        None
     };
     if !c.done() {
         return Err(QorError::Corrupt(format!(

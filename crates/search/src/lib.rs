@@ -48,8 +48,8 @@ pub use engine::{
     SessionEval, StepReport,
 };
 pub use job::{
-    load_job_file, restore, save_job_file, snapshot, snapshot_v1, FleetAssignment,
-    FleetWorkerRecord, JOB_FORMAT_VERSION, JOB_MAGIC, JOB_MIN_FORMAT_VERSION,
+    load_job_file, restore, save_job_file, snapshot, FleetAssignment, FleetWorkerRecord,
+    JOB_FORMAT_VERSION, JOB_MAGIC,
 };
 pub use runner::{JobProgress, JobRunner, JobStatus, RunnerStats};
 pub use space::{Genome, SpaceModel};

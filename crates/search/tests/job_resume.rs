@@ -151,26 +151,6 @@ fn v2_fleet_snapshot_round_trips_and_rejects_every_flip_and_truncation() {
 }
 
 #[test]
-fn v1_snapshots_still_restore_and_resume() {
-    let session = session();
-    let eval = SessionEval::new(session.clone(), "bicg");
-    let mut uninterrupted = SearchRun::for_kernel(opts(StrategyKind::Genetic)).unwrap();
-    let expected = uninterrupted.run(&eval).unwrap();
-
-    let mut partial = SearchRun::for_kernel(opts(StrategyKind::Genetic)).unwrap();
-    partial.step(&eval).unwrap();
-    // a fleet coordinator's run downgrades cleanly: v1 simply has no
-    // fleet section to carry
-    partial.set_fleet(Some(assignment()));
-    let v1 = search::snapshot_v1(&partial);
-    let mut resumed = search::restore(&v1).unwrap();
-    assert_eq!(resumed.spent(), partial.spent());
-    assert_eq!(resumed.fleet(), None, "v1 cannot carry a fleet section");
-    let continued = resumed.run(&eval).unwrap();
-    assert_eq!(continued, expected, "v1 resume diverged");
-}
-
-#[test]
 fn future_versions_are_unsupported_not_corrupt() {
     let session = session();
     let eval = SessionEval::new(session, "bicg");
@@ -178,16 +158,17 @@ fn future_versions_are_unsupported_not_corrupt() {
     run.step(&eval).unwrap();
     let bytes = search::snapshot(&run);
 
-    // patch the version field and re-seal so only the version differs
-    let mut patched = bytes[..bytes.len() - 8].to_vec();
-    patched[8..12].copy_from_slice(&(search::JOB_FORMAT_VERSION + 1).to_le_bytes());
-    let sum = qor_core::fnv1a(&patched);
-    patched.extend_from_slice(&sum.to_le_bytes());
-    match search::restore(&patched) {
-        Err(QorError::UnsupportedVersion(v)) => {
-            assert_eq!(v, search::JOB_FORMAT_VERSION + 1)
+    // patch the version field and re-seal so only the version differs;
+    // both an older (pre-fleet v1) and a future version are refused
+    for version in [1, search::JOB_FORMAT_VERSION + 1] {
+        let mut patched = bytes[..bytes.len() - 8].to_vec();
+        patched[8..12].copy_from_slice(&version.to_le_bytes());
+        let sum = qor_core::fnv1a(&patched);
+        patched.extend_from_slice(&sum.to_le_bytes());
+        match search::restore(&patched) {
+            Err(QorError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 

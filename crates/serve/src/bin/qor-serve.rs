@@ -493,29 +493,6 @@ fn self_test() -> Result<(), String> {
         }
         println!("tracing: x-qor-trace echoed; /debug/requests + /debug/vars ok");
 
-        // deprecated aliases still serve, marked with the successor link
-        let (status, headers, _) =
-            serve::http::client_request_with(addr, "POST", "/predict", Some(request), &[])
-                .map_err(io)?;
-        if status != 200 {
-            return Err(format!("legacy /predict: status {status}"));
-        }
-        if !headers
-            .iter()
-            .any(|(n, v)| n == "deprecation" && v == "true")
-        {
-            return Err(format!("legacy /predict must be deprecated: {headers:?}"));
-        }
-        if !headers
-            .iter()
-            .any(|(n, v)| n == "link" && v.contains("/v1/predict"))
-        {
-            return Err(format!(
-                "legacy /predict must link its successor: {headers:?}"
-            ));
-        }
-        println!("legacy aliases: served with Deprecation + successor Link");
-
         // error envelope on every non-2xx
         let (status, body) =
             client_request(addr, "POST", "/v1/predict", Some("{not json")).map_err(io)?;

@@ -23,8 +23,8 @@
 //!   deterministic `par` executor.
 //! * [`server`] — an HTTP/1.1 server over raw `std::net` (the build is
 //!   offline; no hyper) exposing the versioned `/v1` surface: `predict`,
-//!   `models` (list/get/hot-reload/remove), `dse`, `healthz`, `metrics`,
-//!   plus deprecated legacy aliases. Every non-2xx response is the
+//!   `models` (list/get/hot-reload/remove), `dse`, `healthz`, `metrics`.
+//!   Every non-2xx response is the
 //!   [`error`] envelope `{"code","message","trace"}`.
 //! * [`error`] — the stable [`error::ApiCode`] taxonomy mapping 1:1 onto
 //!   [`qor_core::QorError`] plus the serving-layer codes.

@@ -39,11 +39,6 @@
 //! worker remains the job fails typed (`code":"fleet"`, HTTP 503) without
 //! spending budget.
 //!
-//! The pre-versioning routes (`/healthz`, `/metrics`, `/predict`, `/dse`,
-//! `/dse/<id>`) remain as **deprecated aliases**: they serve identical
-//! responses but add `Deprecation: true` and a `Link: </v1/...>;
-//! rel="successor-version"` header. New clients must use `/v1/*`.
-//!
 //! # Requests and batching
 //!
 //! A prediction names a bundled kernel (`{"kernel":"mvt"}`) or carries
@@ -395,10 +390,6 @@ struct RouteDef {
     endpoint: Endpoint,
     /// Low-cardinality metrics label (`/v1/dse/<id>` collapses to one).
     label: &'static str,
-    /// Legacy alias: responses add `Deprecation: true` and a `Link` to
-    /// `successor`.
-    deprecated: bool,
-    successor: &'static str,
 }
 
 const fn v1(
@@ -412,25 +403,6 @@ const fn v1(
         pattern,
         endpoint,
         label,
-        deprecated: false,
-        successor: "",
-    }
-}
-
-const fn legacy(
-    method: &'static str,
-    pattern: &'static str,
-    endpoint: Endpoint,
-    label: &'static str,
-    successor: &'static str,
-) -> RouteDef {
-    RouteDef {
-        method,
-        pattern,
-        endpoint,
-        label,
-        deprecated: true,
-        successor,
     }
 }
 
@@ -479,43 +451,6 @@ const ROUTES: &[RouteDef] = &[
         "debug_requests",
     ),
     v1("GET", "/debug/vars", Endpoint::DebugVars, "debug_vars"),
-    // deprecated pre-versioning aliases
-    legacy(
-        "GET",
-        "/healthz",
-        Endpoint::Healthz,
-        "healthz",
-        "/v1/healthz",
-    ),
-    legacy(
-        "GET",
-        "/metrics",
-        Endpoint::Metrics,
-        "metrics",
-        "/v1/metrics",
-    ),
-    legacy(
-        "POST",
-        "/predict",
-        Endpoint::Predict,
-        "predict",
-        "/v1/predict",
-    ),
-    legacy("POST", "/dse", Endpoint::DseSubmit, "dse_submit", "/v1/dse"),
-    legacy(
-        "GET",
-        "/dse/:id",
-        Endpoint::DseGet,
-        "dse_job",
-        "/v1/dse/:id",
-    ),
-    legacy(
-        "DELETE",
-        "/dse/:id",
-        Endpoint::DseDelete,
-        "dse_job",
-        "/v1/dse/:id",
-    ),
 ];
 
 /// Route-table lookup result.
@@ -687,26 +622,18 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
     let started_us = obs::log::now_us();
     let t0 = Instant::now();
     let mut tel = ReqTelemetry::default();
-    let (response, deprecation) = match &matched {
+    let response = match &matched {
         RouteMatch::Matched { def, params } => {
-            let response = dispatch(state, def.endpoint, params, &request, &mut tel);
-            let dep = def.deprecated.then_some(def.successor);
-            (response, dep)
+            dispatch(state, def.endpoint, params, &request, &mut tel)
         }
-        RouteMatch::MethodNotAllowed => (
-            Response::from_error(&ApiError::new(
-                ApiCode::MethodNotAllowed,
-                format!("{} is not allowed on {}", request.method, request.path),
-            )),
-            None,
-        ),
-        RouteMatch::NotFound => (
-            Response::from_error(&ApiError::new(
-                ApiCode::NotFound,
-                format!("no route matches {}", request.path),
-            )),
-            None,
-        ),
+        RouteMatch::MethodNotAllowed => Response::from_error(&ApiError::new(
+            ApiCode::MethodNotAllowed,
+            format!("{} is not allowed on {}", request.method, request.path),
+        )),
+        RouteMatch::NotFound => Response::from_error(&ApiError::new(
+            ApiCode::NotFound,
+            format!("no route matches {}", request.path),
+        )),
     };
     let dur_us = t0.elapsed().as_micros() as u64;
 
@@ -755,19 +682,12 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
         );
     }
 
-    let mut headers: Vec<(&str, &str)> = vec![("x-qor-trace", &trace_hex)];
-    let link;
-    if let Some(successor) = deprecation {
-        headers.push(("Deprecation", "true"));
-        link = format!("<{successor}>; rel=\"successor-version\"");
-        headers.push(("Link", &link));
-    }
     let _ = http::write_response_with(
         &mut stream,
         response.status,
         response.reason(),
         response.content_type,
-        &headers,
+        &[("x-qor-trace", &trace_hex)],
         response.body.as_bytes(),
     );
 }
@@ -2011,7 +1931,6 @@ mod tests {
         match match_route("GET", "/v1/healthz") {
             RouteMatch::Matched { def, params } => {
                 assert_eq!(def.endpoint, Endpoint::Healthz);
-                assert!(!def.deprecated);
                 assert!(params.is_empty());
             }
             _ => panic!("GET /v1/healthz must match"),
@@ -2024,29 +1943,22 @@ mod tests {
             }
             _ => panic!("PUT /v1/models/:name must match"),
         }
-        // legacy alias is deprecated with a successor
-        match match_route("POST", "/predict") {
-            RouteMatch::Matched { def, .. } => {
-                assert!(def.deprecated);
-                assert_eq!(def.successor, "/v1/predict");
-            }
-            _ => panic!("legacy /predict must match"),
-        }
-        match match_route("GET", "/dse/job-1") {
-            RouteMatch::Matched { def, params } => {
-                assert_eq!(def.endpoint, Endpoint::DseGet);
-                assert_eq!(params, vec!["job-1".to_string()]);
-            }
-            _ => panic!("legacy /dse/:id must match"),
-        }
         // wrong method on a known path
         assert!(matches!(
             match_route("DELETE", "/v1/predict"),
             RouteMatch::MethodNotAllowed
         ));
-        // unknown paths and empty params
+        // unknown paths, unversioned paths and empty params
         assert!(matches!(
             match_route("GET", "/v2/healthz"),
+            RouteMatch::NotFound
+        ));
+        assert!(matches!(
+            match_route("POST", "/predict"),
+            RouteMatch::NotFound
+        ));
+        assert!(matches!(
+            match_route("GET", "/dse/job-1"),
             RouteMatch::NotFound
         ));
         assert!(matches!(

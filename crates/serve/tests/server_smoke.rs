@@ -37,7 +37,7 @@ fn qor_field(doc: &Json, root: &str) -> (u64, u64, u64, u64) {
 #[test]
 fn healthz_reports_ok() {
     let handle = spawn_server();
-    let (status, body) = client_request(handle.addr(), "GET", "/healthz", None).unwrap();
+    let (status, body) = client_request(handle.addr(), "GET", "/v1/healthz", None).unwrap();
     handle.shutdown();
     assert_eq!(status, 200);
     let doc = json::parse(&body).unwrap();
@@ -57,9 +57,9 @@ fn single_prediction_matches_library_path_and_repeats_hit_the_cache() {
 
     let handle = spawn_server();
     let body = r#"{"kernel":"mvt","config":{"loops":[{"loop":[0],"pipeline":true}]}}"#;
-    let (status, first) = client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
+    let (status, first) = client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
     assert_eq!(status, 200, "{first}");
-    let (_, second) = client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
+    let (_, second) = client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
     let stats = handle.stats();
     handle.shutdown();
 
@@ -96,7 +96,8 @@ fn batched_predictions_preserve_order_and_reuse_the_cache() {
         {"kernel":"mvt","config":{"loops":[{"loop":[0],"pipeline":true}]}},
         {"kernel":"nope"}
     ]}"#;
-    let (status, response) = client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
+    let (status, response) =
+        client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
     let stats = handle.stats();
     handle.shutdown();
 
@@ -157,8 +158,9 @@ fn batched_predictions_preserve_order_and_reuse_the_cache() {
 fn inline_source_predictions_work() {
     let handle = spawn_server();
     let body = r#"{"top":"f","source":"void f(float a[16], float b[16]) { for (int i = 0; i < 16; i++) { b[i] = a[i] * 3.0; } }"}"#;
-    let (status, response) = client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
-    let (_, repeat) = client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
+    let (status, response) =
+        client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
+    let (_, repeat) = client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
     let stats = handle.stats();
     handle.shutdown();
     assert_eq!(status, 200, "{response}");
@@ -175,9 +177,9 @@ fn metrics_expose_cache_counters_in_prometheus_format() {
     let handle = spawn_server();
     let body = r#"{"kernel":"mvt"}"#;
     for _ in 0..2 {
-        client_request(handle.addr(), "POST", "/predict", Some(body)).unwrap();
+        client_request(handle.addr(), "POST", "/v1/predict", Some(body)).unwrap();
     }
-    let (status, text) = client_request(handle.addr(), "GET", "/metrics", None).unwrap();
+    let (status, text) = client_request(handle.addr(), "GET", "/v1/metrics", None).unwrap();
     handle.shutdown();
     assert_eq!(status, 200);
     assert!(
@@ -247,7 +249,7 @@ fn metrics_expose_cache_counters_in_prometheus_format() {
 /// Polls `GET /dse/<id>` until the job leaves `running` (or panics after
 /// `tries` attempts).
 fn wait_for_job(addr: std::net::SocketAddr, id: &str, tries: u32) -> Json {
-    let path = format!("/dse/{id}");
+    let path = format!("/v1/dse/{id}");
     for _ in 0..tries {
         let (status, body) = client_request(addr, "GET", &path, None).unwrap();
         assert_eq!(status, 200, "{body}");
@@ -267,7 +269,7 @@ fn dse_job_lifecycle_runs_to_done_over_http() {
     let addr = handle.addr();
 
     let body = r#"{"kernel":"fir","strategy":"random","budget":6,"seed":7,"batch":3}"#;
-    let (status, response) = client_request(addr, "POST", "/dse", Some(body)).unwrap();
+    let (status, response) = client_request(addr, "POST", "/v1/dse", Some(body)).unwrap();
     assert_eq!(status, 200, "{response}");
     let doc = json::parse(&response).unwrap();
     let id = json::field(&doc, "id")
@@ -300,7 +302,7 @@ fn dse_job_lifecycle_runs_to_done_over_http() {
     }
 
     // job counters and throughput reach /metrics
-    let (_, metrics) = client_request(addr, "GET", "/metrics", None).unwrap();
+    let (_, metrics) = client_request(addr, "GET", "/v1/metrics", None).unwrap();
     for needle in [
         "qor_dse_jobs_submitted_total 1",
         "qor_dse_jobs_completed_total 1",
@@ -318,7 +320,7 @@ fn dse_job_lifecycle_runs_to_done_over_http() {
     assert_eq!(evals, spent, "metrics must count the job's evaluations");
 
     // delete forgets the job; a second delete and a stale poll both 404
-    let path = format!("/dse/{id}");
+    let path = format!("/v1/dse/{id}");
     let (status, deleted) = client_request(addr, "DELETE", &path, None).unwrap();
     assert_eq!(status, 200, "{deleted}");
     let deleted = json::parse(&deleted).unwrap();
@@ -347,7 +349,7 @@ fn dse_submission_errors_are_synchronous_400s() {
         (r#"{"kernel":"fir","budget":-3}"#, "budget"),
     ];
     for (body, needle) in cases {
-        let (status, response) = client_request(addr, "POST", "/dse", Some(body)).unwrap();
+        let (status, response) = client_request(addr, "POST", "/v1/dse", Some(body)).unwrap();
         assert_eq!(status, 400, "{body}: {response}");
         let err = json::parse(&response).unwrap();
         let msg = json::field(&err, "message").and_then(json::as_str).unwrap();
@@ -357,18 +359,18 @@ fn dse_submission_errors_are_synchronous_400s() {
         );
     }
     // nothing was enqueued
-    let (_, metrics) = client_request(addr, "GET", "/metrics", None).unwrap();
+    let (_, metrics) = client_request(addr, "GET", "/v1/metrics", None).unwrap();
     assert!(
         metrics.contains("qor_dse_jobs_submitted_total 0"),
         "{metrics}"
     );
 
     // method guards on both dse routes
-    let (status, _) = client_request(addr, "GET", "/dse", None).unwrap();
+    let (status, _) = client_request(addr, "GET", "/v1/dse", None).unwrap();
     assert_eq!(status, 405);
-    let (status, _) = client_request(addr, "POST", "/dse/job-1", Some("{}")).unwrap();
+    let (status, _) = client_request(addr, "POST", "/v1/dse/job-1", Some("{}")).unwrap();
     assert_eq!(status, 405);
-    let (status, _) = client_request(addr, "GET", "/dse/job-999", None).unwrap();
+    let (status, _) = client_request(addr, "GET", "/v1/dse/job-999", None).unwrap();
     assert_eq!(status, 404);
     handle.shutdown();
 }
@@ -378,30 +380,30 @@ fn error_paths_return_the_typed_envelope() {
     let handle = spawn_server();
     let addr = handle.addr();
     let cases = [
-        ("POST", "/predict", Some("{not json"), 400, "bad_request"),
+        ("POST", "/v1/predict", Some("{not json"), 400, "bad_request"),
         (
             "POST",
-            "/predict",
+            "/v1/predict",
             Some(r#"{"config":{}}"#),
             400,
             "bad_request",
         ),
         (
             "POST",
-            "/predict",
+            "/v1/predict",
             Some(r#"{"kernel":"mvt","config":{"loops":[{"loop":[0],"unroll":"half"}]}}"#),
             400,
             "bad_request",
         ),
         (
             "POST",
-            "/predict",
+            "/v1/predict",
             Some(r#"{"kernel":"no_such_kernel"}"#),
             400,
             "unknown_kernel",
         ),
-        ("GET", "/predict", None, 405, "method_not_allowed"),
-        ("POST", "/healthz", None, 405, "method_not_allowed"),
+        ("GET", "/v1/predict", None, 405, "method_not_allowed"),
+        ("POST", "/v1/healthz", None, 405, "method_not_allowed"),
         ("GET", "/no_such_route", None, 404, "not_found"),
         ("GET", "/v1/models/ghost", None, 404, "unknown_model"),
         (
@@ -430,7 +432,7 @@ fn error_paths_return_the_typed_envelope() {
 }
 
 #[test]
-fn v1_routes_serve_and_legacy_aliases_carry_deprecation_headers() {
+fn v1_routes_serve_and_unversioned_paths_get_a_typed_404() {
     let handle = spawn_server();
     let addr = handle.addr();
     // the /v1 surface serves without deprecation headers
@@ -448,40 +450,34 @@ fn v1_routes_serve_and_legacy_aliases_carry_deprecation_headers() {
             "{method} {path} must not be deprecated: {headers:?}"
         );
     }
-    // legacy aliases serve the same content but are marked deprecated
-    for (path, successor) in [("/healthz", "/v1/healthz"), ("/metrics", "/v1/metrics")] {
-        let (status, headers, _) =
-            serve::http::client_request_with(addr, "GET", path, None, &[]).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(
-            headers
+    // unversioned paths match no route: each is a typed 404 envelope
+    for (method, path, body) in [
+        ("GET", "/healthz", None),
+        ("GET", "/metrics", None),
+        ("POST", "/predict", Some(r#"{"kernel":"mvt"}"#)),
+        ("POST", "/dse", Some(r#"{"kernel":"mvt"}"#)),
+        ("GET", "/dse/job-1", None),
+        ("DELETE", "/dse/job-1", None),
+    ] {
+        let (status, headers, response) =
+            serve::http::client_request_with(addr, method, path, body, &[]).unwrap();
+        assert_eq!(status, 404, "{method} {path}: {response}");
+        assert!(
+            !headers
                 .iter()
-                .find(|(n, _)| n == "deprecation")
-                .map(|(_, v)| v.as_str()),
-            Some("true"),
-            "legacy {path} must carry Deprecation: {headers:?}"
+                .any(|(n, _)| n == "deprecation" || n == "link"),
+            "{method} {path}: {headers:?}"
         );
-        let link = headers
-            .iter()
-            .find(|(n, _)| n == "link")
-            .map(|(_, v)| v.as_str())
-            .unwrap();
-        assert_eq!(link, format!("<{successor}>; rel=\"successor-version\""));
+        let doc = json::parse(&response).unwrap();
+        assert_eq!(
+            json::field(&doc, "code").and_then(json::as_str),
+            Some("not_found"),
+            "{method} {path}: {response}"
+        );
+        assert!(json::field(&doc, "message").is_some(), "{response}");
+        let trace = json::field(&doc, "trace").and_then(json::as_str).unwrap();
+        assert_eq!(trace.len(), 16, "{response}");
     }
-    let (_, headers, _) = serve::http::client_request_with(
-        addr,
-        "POST",
-        "/predict",
-        Some(r#"{"kernel":"mvt"}"#),
-        &[],
-    )
-    .unwrap();
-    assert!(
-        headers
-            .iter()
-            .any(|(n, v)| n == "link" && v.contains("/v1/predict")),
-        "{headers:?}"
-    );
     handle.shutdown();
 }
 
@@ -596,11 +592,11 @@ fn direct_dispatch_serves_identical_predictions_without_batch_info() {
 fn shutdown_is_clean_and_idempotent_for_clients() {
     let handle = spawn_server();
     let addr = handle.addr();
-    let (status, _) = client_request(addr, "GET", "/healthz", None).unwrap();
+    let (status, _) = client_request(addr, "GET", "/v1/healthz", None).unwrap();
     assert_eq!(status, 200);
     handle.shutdown();
     // the listener is gone: clients now fail to connect instead of hanging
-    assert!(client_request(addr, "GET", "/healthz", None).is_err());
+    assert!(client_request(addr, "GET", "/v1/healthz", None).is_err());
 }
 
 /// Scrapes one counter value from the `/v1/metrics` Prometheus text.

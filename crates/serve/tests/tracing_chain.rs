@@ -72,7 +72,7 @@ fn predict_request_trace_flows_header_to_flight_record_and_log() {
     let (status, headers, _) = client_request_with(
         handle.addr(),
         "POST",
-        "/predict",
+        "/v1/predict",
         Some(body),
         &[("x-qor-trace", trace_hex)],
     )
@@ -96,7 +96,7 @@ fn predict_request_trace_flows_header_to_flight_record_and_log() {
 
     let rec = find_record(trace_hex).expect("flight record for the traced request");
     assert_eq!(rec.kind, "http");
-    assert_eq!(rec.label, "POST /predict");
+    assert_eq!(rec.label, "POST /v1/predict");
     assert_eq!(rec.outcome, "200");
     assert!(rec.bytes_in > 0 && rec.bytes_out > 0);
     // a cold single prediction misses both cache layers and reports
@@ -147,7 +147,7 @@ fn batch_workers_inherit_the_request_trace() {
     let (status, _, _) = client_request_with(
         handle.addr(),
         "POST",
-        "/predict",
+        "/v1/predict",
         Some(body),
         &[("x-qor-trace", trace_hex)],
     )
@@ -180,7 +180,7 @@ fn requests_without_a_header_get_a_derived_trace() {
     setup_log();
     let handle = spawn_server();
     let (status, headers, _) =
-        client_request_with(handle.addr(), "GET", "/healthz", None, &[]).unwrap();
+        client_request_with(handle.addr(), "GET", "/v1/healthz", None, &[]).unwrap();
     handle.shutdown();
     assert_eq!(status, 200);
     let echoed = headers
@@ -200,7 +200,7 @@ fn dse_jobs_carry_a_job_scoped_trace_into_the_flight_recorder() {
     let handle = spawn_server();
     let addr = handle.addr();
     let body = r#"{"kernel":"fir","strategy":"random","budget":6,"seed":7,"batch":3}"#;
-    let (status, response) = client_request(addr, "POST", "/dse", Some(body)).unwrap();
+    let (status, response) = client_request(addr, "POST", "/v1/dse", Some(body)).unwrap();
     assert_eq!(status, 200, "{response}");
     let doc = json::parse(&response).unwrap();
     let id = json::field(&doc, "id")
@@ -211,7 +211,7 @@ fn dse_jobs_carry_a_job_scoped_trace_into_the_flight_recorder() {
     // poll until done, then read the job's trace from its progress
     let mut job_trace = String::new();
     for _ in 0..1500 {
-        let (status, body) = client_request(addr, "GET", &format!("/dse/{id}"), None).unwrap();
+        let (status, body) = client_request(addr, "GET", &format!("/v1/dse/{id}"), None).unwrap();
         assert_eq!(status, 200, "{body}");
         let doc = json::parse(&body).unwrap();
         job_trace = json::field(&doc, "trace")
@@ -262,7 +262,7 @@ fn debug_vars_reports_build_and_runtime_configuration() {
     client_request(
         handle.addr(),
         "POST",
-        "/predict",
+        "/v1/predict",
         Some(r#"{"kernel":"mvt"}"#),
     )
     .unwrap();
