@@ -36,35 +36,45 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args`; on a bad flag value prints the error and
+    /// exits with code 2.
     ///
     /// Recognized flags: `--paper`, `--quick`, `--designs N`, `--epochs N`,
     /// `--dse-configs N`.
     pub fn parse() -> Self {
-        let mut cli = Cli::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        Self::parse_from(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (without the program name), as [`Cli::parse`].
+    ///
+    /// # Errors
+    ///
+    /// A numeric flag whose value is missing or not a non-negative integer.
+    pub fn parse_from(args: &[String]) -> Result<Self, String> {
+        let mut cli = Cli::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut count = || -> Result<Option<usize>, String> {
+                let value = args.next().ok_or(format!("{flag} needs a value"))?;
+                let n = value
+                    .parse()
+                    .map_err(|_| format!("{flag} {value:?}: not a count"))?;
+                Ok(Some(n))
+            };
+            match flag.as_str() {
                 "--paper" => cli.scale = Scale::Paper,
                 "--quick" => cli.scale = Scale::Quick,
-                "--designs" => {
-                    i += 1;
-                    cli.designs = args.get(i).and_then(|v| v.parse().ok());
-                }
-                "--epochs" => {
-                    i += 1;
-                    cli.epochs = args.get(i).and_then(|v| v.parse().ok());
-                }
-                "--dse-configs" => {
-                    i += 1;
-                    cli.dse_configs = args.get(i).and_then(|v| v.parse().ok());
-                }
+                "--designs" => cli.designs = count()?,
+                "--epochs" => cli.epochs = count()?,
+                "--dse-configs" => cli.dse_configs = count()?,
                 other => eprintln!("ignoring unknown flag {other:?}"),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// Hierarchical-model training options at this scale.
@@ -143,6 +153,35 @@ mod tests {
         assert_eq!(opts.data.max_designs_per_kernel, 10);
         assert_eq!(opts.inner_epochs, 3);
         assert_eq!(cli.dse_cap(), 25);
+    }
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Cli::parse_from(&args)
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let cli = parse(&["--paper", "--designs", "10", "--epochs", "3"]).unwrap();
+        assert_eq!(cli.scale, Scale::Paper);
+        assert_eq!((cli.designs, cli.epochs), (Some(10), Some(3)));
+        let cli = parse(&["--dse-configs", "0", "--quick"]).unwrap();
+        assert_eq!((cli.scale, cli.dse_configs), (Scale::Quick, Some(0)));
+        assert_eq!(cli.dse_cap(), 0);
+    }
+
+    #[test]
+    fn parse_refuses_bad_or_missing_values() {
+        for (args, flag) in [
+            (&["--designs", "x"][..], "--designs"),
+            (&["--epochs", "1e3"], "--epochs"),
+            (&["--dse-configs", "-1"], "--dse-configs"),
+            (&["--designs"], "--designs"),
+            (&["--paper", "--epochs"], "--epochs"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! verbatim), pushes the new entry and rewrites the file under the current
 //! schema. Entries
 //! are kept verbatim as the bytes they were written with, so appending
-//! never reformats history.
+//! never reformats history. The new document is written beside the old one
+//! and renamed over it, so a run killed mid-write leaves the previous
+//! document whole.
 
 use std::io;
 use std::path::Path;
@@ -51,7 +53,10 @@ pub fn append(path: &Path, schema: &str, entry: &Json) -> io::Result<usize> {
         out.push('\n');
     }
     out.push_str("]}\n");
-    std::fs::write(path, out)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, out)?;
+    std::fs::rename(&tmp, path)?;
     Ok(entries.len())
 }
 
@@ -184,6 +189,29 @@ mod tests {
             // the file is untouched
             assert_eq!(std::fs::read_to_string(&path).unwrap(), garbage);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stale_temp_file_neither_breaks_append_nor_drops_entries() {
+        let path = tmp("stale");
+        let _ = std::fs::remove_file(&path);
+        append(&path, SERVE_SCHEMA, &entry(1)).unwrap();
+        append(&path, SERVE_SCHEMA, &entry(2)).unwrap();
+        // what a run killed while writing the next document leaves behind
+        let mut stale = path.as_os_str().to_owned();
+        stale.push(".tmp");
+        std::fs::write(&stale, "{\"schema\":\"qor-bench-serve/v2\",\"entr").unwrap();
+        assert_eq!(append(&path, SERVE_SCHEMA, &entry(3)).unwrap(), 3);
+        let text = std::fs::read_to_string(&path).unwrap();
+        for n in 1..=3 {
+            assert!(text.contains(&format!("\"n\":{n}")), "{text}");
+        }
+        serve::json::parse(&text).unwrap();
+        assert!(
+            !std::path::Path::new(&stale).exists(),
+            "temp file left behind"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,7 +1,7 @@
 //! The hierarchical model: `GNN_p`, `GNN_np`, `GNN_g` (paper §III-C/D).
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cdfg::{GraphBuilder, GraphOptions, SuperFeatures};
 use gnn::{mape, Batch, ConvKind, Encoder, EncoderConfig, GraphData, Mlp, Normalizer};
@@ -384,6 +384,37 @@ pub struct PreparedInner {
     pub(crate) tc: u64,
     pub(crate) unroll: u64,
     pub(crate) ii: f64,
+    /// The inner model's de-normalised outputs for this region, tagged
+    /// with the token of the session that computed them.
+    pub(crate) outputs: OutputSlot,
+}
+
+/// A memo of one region's inner-model outputs: the token of the
+/// [`Session`](crate::Session) that filled it and the five de-normalised
+/// outputs `[il, latency, lut, ff, dsp]`.
+///
+/// It is not part of the region's value: equality ignores it, a clone
+/// starts empty and [`PreparedInner`]'s digest never reads it, so
+/// backdating and every design digest are the same with or without it.
+#[derive(Default)]
+pub(crate) struct OutputSlot(Mutex<Option<(u64, [f32; 5])>>);
+
+impl Clone for OutputSlot {
+    fn clone(&self) -> Self {
+        OutputSlot::default()
+    }
+}
+
+impl PartialEq for OutputSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for OutputSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("OutputSlot")
+    }
 }
 
 impl PreparedInner {
@@ -448,6 +479,7 @@ pub(crate) fn prepare_one_inner(
         tc,
         unroll,
         ii: hlsim::analytic_ii(func, cfg, id) as f64,
+        outputs: OutputSlot::default(),
     }
 }
 
@@ -617,7 +649,7 @@ impl HierarchicalModel {
     pub fn predict(&self, func: &Function, cfg: &PragmaConfig) -> Qor {
         obs::metrics::counter_add("qor/predictions", 1);
         let inner = self.prepare_inner(func, cfg);
-        self.forward_design(func, cfg, &inner)
+        self.forward_design(func, cfg, &inner, None).0
     }
 
     /// Builds the weight-independent front half of a prediction: the
@@ -658,7 +690,26 @@ impl HierarchicalModel {
     /// construction and floating-point operations in the same order.
     pub fn predict_prepared(&self, prepared: &PreparedDesign) -> Qor {
         obs::metrics::counter_add("qor/predictions", 1);
-        self.forward_design(&prepared.func, &prepared.cfg, &prepared.inner)
+        self.forward_design(&prepared.func, &prepared.cfg, &prepared.inner, None)
+            .0
+    }
+
+    /// As [`HierarchicalModel::predict_prepared`], but each inner region's
+    /// outputs are read from its slot when `token` filled it, and written
+    /// there otherwise; returns the prediction and how many regions the
+    /// slots answered.
+    ///
+    /// `token` must identify this model's weights uniquely within the
+    /// process (a [`Session`](crate::Session) draws one per session): equal
+    /// tokens must mean equal weights, or a slot would answer for another
+    /// model.
+    pub(crate) fn predict_prepared_memo(
+        &self,
+        prepared: &PreparedDesign,
+        token: u64,
+    ) -> (Qor, usize) {
+        obs::metrics::counter_add("qor/predictions", 1);
+        self.forward_design(&prepared.func, &prepared.cfg, &prepared.inner, Some(token))
     }
 
     /// Predicts the QoR of every inner-hierarchy loop and packages it as
@@ -668,7 +719,7 @@ impl HierarchicalModel {
         func: &Function,
         cfg: &PragmaConfig,
     ) -> BTreeMap<LoopId, SuperFeatures> {
-        self.supers_of(&self.prepare_inner(func, cfg))
+        self.supers_of(&self.prepare_inner(func, cfg), None).0
     }
 
     /// The front half shared by [`HierarchicalModel::predict`] and
@@ -692,23 +743,37 @@ impl HierarchicalModel {
     }
 
     /// Inner-model forward passes over prepared subgraphs, producing the
-    /// super-node features.
-    fn supers_of(&self, inner: &[Arc<PreparedInner>]) -> BTreeMap<LoopId, SuperFeatures> {
+    /// super-node features and the number of regions whose slot answered.
+    ///
+    /// With a `token`, a region whose slot holds that token's outputs skips
+    /// its forward pass, and any other region's outputs are stored under
+    /// it. The slot stays locked while it is filled, so threads asking for
+    /// the same region run its forward once.
+    fn supers_of(
+        &self,
+        inner: &[Arc<PreparedInner>],
+        token: Option<u64>,
+    ) -> (BTreeMap<LoopId, SuperFeatures>, usize) {
         let mut out = BTreeMap::new();
+        let mut hits = 0;
         for pi in inner {
-            let (store, model, norm) = self.inner_model_for(pi.pipelined);
-            let batch = Batch::from_graphs(&[&pi.data], true);
-            let mut t = Tape::new();
-            let (il, lat, res) = model.forward(store, &mut t, &batch);
-            let resm = t.value(res).clone();
-            let mut y = [
-                t.value(il)[(0, 0)],
-                t.value(lat)[(0, 0)],
-                resm[(0, 0)],
-                resm[(0, 1)],
-                resm[(0, 2)],
-            ];
-            norm.inverse(&mut y);
+            let y = match token {
+                None => self.inner_outputs(pi),
+                Some(token) => {
+                    let mut slot = pi.outputs.0.lock().expect("an inner forward panicked");
+                    match *slot {
+                        Some((owner, y)) if owner == token => {
+                            hits += 1;
+                            y
+                        }
+                        _ => {
+                            let y = self.inner_outputs(pi);
+                            *slot = Some((token, y));
+                            y
+                        }
+                    }
+                }
+            };
             out.insert(
                 pi.id.clone(),
                 SuperFeatures {
@@ -722,18 +787,39 @@ impl HierarchicalModel {
                 },
             );
         }
-        out
+        (out, hits)
     }
 
-    /// The weight-dependent back half: inner forwards, condensation and the
-    /// global model.
+    /// One inner region's forward pass through `GNN_p` or `GNN_np`,
+    /// de-normalised: `[il, latency, lut, ff, dsp]` in log space.
+    fn inner_outputs(&self, pi: &PreparedInner) -> [f32; 5] {
+        let (store, model, norm) = self.inner_model_for(pi.pipelined);
+        let batch = Batch::from_graphs(&[&pi.data], true);
+        let mut t = Tape::new();
+        let (il, lat, res) = model.forward(store, &mut t, &batch);
+        let resm = t.value(res).clone();
+        let mut y = [
+            t.value(il)[(0, 0)],
+            t.value(lat)[(0, 0)],
+            resm[(0, 0)],
+            resm[(0, 1)],
+            resm[(0, 2)],
+        ];
+        norm.inverse(&mut y);
+        y
+    }
+
+    /// The weight-dependent back half: inner forwards (through the slots
+    /// under `token`, see [`HierarchicalModel::supers_of`]), condensation
+    /// and the global model; returns the prediction and the slot hits.
     fn forward_design(
         &self,
         func: &Function,
         cfg: &PragmaConfig,
         inner: &[Arc<PreparedInner>],
-    ) -> Qor {
-        let supers = self.supers_of(inner);
+        token: Option<u64>,
+    ) -> (Qor, usize) {
+        let (supers, hits) = self.supers_of(inner, token);
         let graph = GraphBuilder::new(func, cfg)
             .options(self.opts.graph_options())
             .condense(supers)
@@ -751,12 +837,13 @@ impl HierarchicalModel {
             resm[(0, 2)],
         ];
         self.norm_g.inverse(&mut y);
-        Qor {
+        let qor = Qor {
             latency: expm1(y[0]).round() as u64,
             lut: expm1(y[1]).round() as u64,
             ff: expm1(y[2]).round() as u64,
             dsp: expm1(y[3]).round() as u64,
-        }
+        };
+        (qor, hits)
     }
 
     /// The training options this model was built with.

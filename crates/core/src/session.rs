@@ -40,10 +40,20 @@
 //! a hit must match them: a colliding kernel misses, is lowered afresh and
 //! leaves the resident entry in place.
 //!
+//! The memoized regions also carry the back half's first step: each
+//! prepared inner region keeps the `GNN_p`/`GNN_np` outputs last computed
+//! for it, tagged with the computing session's token, a number unique
+//! within the process. A session's model never changes, so a slot holding
+//! the session's own token holds exactly what a fresh forward pass would
+//! return, and a region reached from many designs is predicted once per
+//! session. Sessions sharing a cache overwrite each other's slots. The
+//! slots live and die with the region memos, so the kernel LRU and the
+//! version budget bound them too.
+//!
 //! Hit/miss/eviction counts are kept in cache-local counters (exported by
 //! [`Session::stats`] / [`SharedCache::stats`]) and mirrored into the
-//! `obs` metrics registry under `session/cache/*`, `session/kernel/*` and
-//! `incr/*` whenever collection is on.
+//! `obs` metrics registry under `session/cache/*`, `session/kernel/*`,
+//! `session/inner/*` and `incr/*` whenever collection is on.
 //!
 //! A `Session` is `Sync`: the map and each kernel database sit behind
 //! their own mutexes, so prepares of different kernels run concurrently,
@@ -99,6 +109,10 @@ pub struct CacheStats {
     pub incr_misses: u64,
     /// Incremental queries re-executed after an input changed.
     pub incr_recomputes: u64,
+    /// Inner-region forward passes answered from the region's output slot.
+    pub inner_hits: u64,
+    /// Inner-region forward passes run (and stored in the region's slot).
+    pub inner_misses: u64,
 }
 
 impl CacheStats {
@@ -238,6 +252,8 @@ pub struct SharedCache {
     evictions: AtomicU64,
     kernel_hits: AtomicU64,
     kernel_misses: AtomicU64,
+    inner_hits: AtomicU64,
+    inner_misses: AtomicU64,
     /// Cumulative per-kind query counters; they outlive evicted kernels.
     queries: Mutex<BTreeMap<&'static str, KindStats>>,
 }
@@ -282,6 +298,8 @@ impl SharedCache {
             evictions: AtomicU64::new(0),
             kernel_hits: AtomicU64::new(0),
             kernel_misses: AtomicU64::new(0),
+            inner_hits: AtomicU64::new(0),
+            inner_misses: AtomicU64::new(0),
             queries: Mutex::new(BTreeMap::new()),
         }
     }
@@ -304,6 +322,8 @@ impl SharedCache {
             incr_hits: incr.hits,
             incr_misses: incr.misses,
             incr_recomputes: incr.recomputes,
+            inner_hits: self.inner_hits.load(Ordering::Relaxed),
+            inner_misses: self.inner_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -383,8 +403,14 @@ pub struct Session {
     /// Folds the prepare-affecting model options into cache keys, so
     /// sessions with different graph construction never share entries.
     prepare_fp: u64,
+    /// Unique within the process: tags the inner-region outputs this
+    /// session's model computed (see [`Session::predict_source_report`]).
+    token: u64,
     cache: Arc<SharedCache>,
 }
+
+/// The next [`Session`] token.
+static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -415,6 +441,7 @@ impl Session {
     pub fn with_shared(model: HierarchicalModel, cache: Arc<SharedCache>) -> Self {
         Session {
             prepare_fp: model.prepare_fingerprint(),
+            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
             model,
             cache,
         }
@@ -485,6 +512,12 @@ impl Session {
     /// As [`Session::predict_source`], but also reports per-stage timings
     /// and cache hit/miss flags.
     ///
+    /// Every session prediction goes through here. Its inner-region forward
+    /// passes read and fill the output slots of the memoized regions under
+    /// this session's token, so each distinct region runs `GNN_p`/`GNN_np`
+    /// once per session; the public `HierarchicalModel::predict*` paths
+    /// never touch the slots.
+    ///
     /// Emits one `session.predict` debug event (see [`obs::log`]) carrying
     /// the active trace context, so a request trace can be followed from
     /// the HTTP layer into the cache layers.
@@ -500,8 +533,14 @@ impl Session {
     ) -> Result<PredictReport, QorError> {
         let (prepared, mut report) = self.front_half(top, source, cfg)?;
         let t = Instant::now();
-        report.qor = self.model.predict_prepared(&prepared);
+        let (qor, hits) = self.model.predict_prepared_memo(&prepared, self.token);
+        report.qor = qor;
         report.infer_us = t.elapsed().as_micros() as u64;
+        let (hits, misses) = (hits as u64, (prepared.num_inner() - hits) as u64);
+        self.cache.inner_hits.fetch_add(hits, Ordering::Relaxed);
+        self.cache.inner_misses.fetch_add(misses, Ordering::Relaxed);
+        obs::metrics::counter_add("session/inner/hits", hits);
+        obs::metrics::counter_add("session/inner/misses", misses);
         if obs::log::enabled(Level::Debug) {
             obs::log::event(
                 Level::Debug,

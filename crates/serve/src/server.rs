@@ -1244,6 +1244,8 @@ fn cache_json(stats: &CacheStats) -> Json {
         ("incr_hits", Json::UInt(stats.incr_hits)),
         ("incr_misses", Json::UInt(stats.incr_misses)),
         ("incr_recomputes", Json::UInt(stats.incr_recomputes)),
+        ("inner_hits", Json::UInt(stats.inner_hits)),
+        ("inner_misses", Json::UInt(stats.inner_misses)),
         ("len", Json::UInt(stats.len as u64)),
         ("capacity", Json::UInt(stats.capacity as u64)),
     ])
@@ -1545,6 +1547,16 @@ fn render_metrics(state: &ServeState) -> String {
         "qor_session_kernel_misses_total",
         "counter",
         stats.kernel_misses.to_string(),
+    );
+    put(
+        "qor_session_inner_hits_total",
+        "counter",
+        stats.inner_hits.to_string(),
+    );
+    put(
+        "qor_session_inner_misses_total",
+        "counter",
+        stats.inner_misses.to_string(),
     );
     put("qor_session_cache_size", "gauge", stats.len.to_string());
     put(
