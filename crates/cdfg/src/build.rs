@@ -365,14 +365,18 @@ impl<'a> Emitter<'a> {
             invocations,
             hw_weight: hw,
         });
-        // data-in edges: external values consumed inside the region
-        let inside: std::collections::HashSet<OpId> = self
+        // data-in edges: external values consumed inside the region, in op
+        // order (the set answers membership only: its iteration order
+        // changes from build to build)
+        let mut inside = std::collections::HashSet::new();
+        let members: Vec<OpId> = self
             .func
             .ops_in_loop(&l.id, true)
             .into_iter()
             .chain(l.phis.iter().copied())
+            .filter(|&op_id| inside.insert(op_id))
             .collect();
-        for &op_id in &inside {
+        for &op_id in &members {
             for operand in &self.func.op(op_id).operands {
                 if let Operand::Value(v) = operand {
                     if !inside.contains(v) {
@@ -399,7 +403,7 @@ impl<'a> Emitter<'a> {
             }
         }
         // all interior values now resolve to the super node
-        for op_id in inside {
+        for op_id in members {
             env.insert(op_id, idx);
         }
     }
@@ -644,6 +648,48 @@ mod tests {
             2,
             "outer unroll must replicate the super node"
         );
+    }
+
+    #[test]
+    fn super_node_inputs_follow_op_order() {
+        // the inner loop reads three values computed outside it, so its
+        // super node gets data-in edges from three distinct nodes
+        let src = "void k(float a[8][8], float b[8], float o[8][8]) {
+            for (int i = 0; i < 8; i++) {
+                float p = b[i];
+                float q = p * 2.0;
+                float r = p + 3.0;
+                for (int j = 0; j < 8; j++) {
+                    o[i][j] = a[i][j] * p + q * r;
+                }
+            }
+        }";
+        let f = func(src, "k");
+        let build = || {
+            let mut supers = BTreeMap::new();
+            supers.insert(LoopId::from_path(&[0, 0]), SuperFeatures::default());
+            GraphBuilder::new(&f, &PragmaConfig::default())
+                .condense(supers)
+                .build()
+        };
+        let first = build();
+        let super_idx = first
+            .nodes
+            .iter()
+            .position(|n| n.mnemonic == "super")
+            .unwrap() as u32;
+        let mut sources: Vec<u32> = first
+            .edges
+            .iter()
+            .filter(|e| e.kind == EdgeKind::Data && e.dst == super_idx)
+            .map(|e| e.src)
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        assert_eq!(sources.len(), 3, "{:?}", first.edges);
+        for _ in 0..50 {
+            assert_eq!(build().edges, first.edges);
+        }
     }
 
     #[test]

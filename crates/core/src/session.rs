@@ -97,7 +97,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Lowered-kernel lookups answered from the map.
     pub kernel_hits: u64,
-    /// Lowered-kernel lookups that missed (parse + lower paid).
+    /// Lowered-kernel lookups that missed (parse + lower paid). Calls
+    /// racing to lower the same kernel count one miss: the call whose
+    /// entry is kept.
     pub kernel_misses: u64,
     /// Kernels currently retained.
     pub len: usize,
@@ -139,11 +141,13 @@ impl CacheStats {
 pub struct PredictReport {
     /// The predicted quality of result.
     pub qor: Qor,
-    /// Whether the lowered kernel came from the kernel map.
+    /// Whether the lowered kernel came from the kernel map, also when a
+    /// racing call inserted it while this one was lowering.
     pub kernel_cache_hit: bool,
     /// Whether the prepare executed no query (a whole-design repeat).
     pub prepared_cache_hit: bool,
-    /// Microseconds spent parsing + lowering (0 on a kernel-map hit).
+    /// Microseconds spent parsing + lowering (0 when the kernel map
+    /// answered before lowering).
     pub lower_us: u64,
     /// Microseconds spent preparing the front half.
     pub prepare_us: u64,
@@ -373,6 +377,17 @@ impl SharedCache {
         }
     }
 
+    /// Counts one kernel-map lookup as a hit or a miss.
+    fn count_kernel(&self, hit: bool) {
+        let (counter, name) = if hit {
+            (&self.kernel_hits, "session/kernel/hits")
+        } else {
+            (&self.kernel_misses, "session/kernel/misses")
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        obs::metrics::counter_add(name, 1);
+    }
+
     /// Folds one prepare's per-kind counter delta (`before` → `after`
     /// snapshots of one database) into the cumulative counters; returns
     /// the delta summed over kinds.
@@ -597,14 +612,11 @@ impl Session {
         let key = (self.prepare_fp, kernel_key(top, source));
         let resident = lock(&cache.lru).get(key);
         if let Some(entry) = resident.filter(|entry| entry.holds(top, source)) {
-            cache.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter_add("session/kernel/hits", 1);
+            cache.count_kernel(true);
             return Ok((entry, true, 0));
         }
         // lower outside the lock: parsing is the expensive part, and two
         // racing threads produce identical functions anyway
-        cache.kernel_misses.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::counter_add("session/kernel/misses", 1);
         let t = Instant::now();
         let program = frontc::parse(source)?;
         let module = hir::lower(&program)?;
@@ -621,10 +633,11 @@ impl Session {
             versions: AtomicUsize::new(0),
         });
         if cache.capacity == 0 {
+            cache.count_kernel(false);
             return Ok((entry, false, lower_us));
         }
         let mut lru = lock(&cache.lru);
-        let (entry, evicted) = lru.insert(key, entry, cache.capacity);
+        let (kept, evicted) = lru.insert(key, Arc::clone(&entry), cache.capacity);
         let len = lru.map.len();
         drop(lru);
         if evicted > 0 {
@@ -632,7 +645,11 @@ impl Session {
             obs::metrics::counter_add("session/cache/evictions", evicted);
         }
         obs::metrics::gauge_set("session/cache/size", len as f64);
-        Ok((entry, false, lower_us))
+        // a racing call that inserted the kernel first answers this one
+        // too, so only the call whose entry is kept counts the miss
+        let hit = !Arc::ptr_eq(&kept, &entry);
+        cache.count_kernel(hit);
+        Ok((kept, hit, lower_us))
     }
 
     /// Runs the front half of `top` under `cfg` through the kernel's query
@@ -762,6 +779,29 @@ mod tests {
         assert_eq!(stats.kernel_misses, 1);
         assert_eq!(stats.kernel_hits, 1);
         assert!(stats.hit_rate() > 0.4);
+    }
+
+    #[test]
+    fn racing_lookups_of_one_kernel_count_one_miss() {
+        const THREADS: usize = 4;
+        for _ in 0..5 {
+            let session = tiny_session(8);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        session.kernel_function("mvt").unwrap();
+                    });
+                }
+            });
+            let stats = session.stats();
+            assert_eq!(
+                (stats.kernel_misses, stats.kernel_hits),
+                (1, THREADS as u64 - 1),
+                "{stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -217,18 +217,21 @@ impl Conv {
         match self {
             Conv::Gcn { lin } => {
                 let xw = lin.forward(store, t, x);
-                let msgs = t.gather_rows(xw, Arc::clone(&batch.gcn_src));
                 let coef = t.leaf(batch.gcn_coef.clone());
-                let weighted = t.mul_col(msgs, coef);
-                t.scatter_add_rows(weighted, Arc::clone(&batch.gcn_dst), n)
+                t.gather_scatter(
+                    xw,
+                    Arc::clone(&batch.gcn_src),
+                    coef,
+                    Arc::clone(&batch.gcn_dst),
+                    n,
+                )
             }
             Conv::Sage {
                 self_lin,
                 neigh_lin,
             } => {
                 let own = self_lin.forward(store, t, x);
-                let gathered = t.gather_rows(x, Arc::clone(&batch.src));
-                let mean = t.segment_mean(gathered, Arc::clone(&batch.dst), n);
+                let mean = t.gather_mean(x, Arc::clone(&batch.src), Arc::clone(&batch.dst), n);
                 let neigh = neigh_lin.forward(store, t, mean);
                 t.add(own, neigh)
             }
@@ -245,9 +248,7 @@ impl Conv {
                     let logits_raw = t.add(es, ed);
                     let logits = t.leaky_relu(logits_raw, 0.2);
                     let att = t.segment_softmax(logits, Arc::clone(&batch.dst), n);
-                    let msgs = t.gather_rows(xw, Arc::clone(&batch.src));
-                    let weighted = t.mul_col(msgs, att);
-                    outs.push(t.scatter_add_rows(weighted, Arc::clone(&batch.dst), n));
+                    outs.push(aggregate(t, xw, att, batch));
                 }
                 t.concat_cols(&outs)
             }
@@ -264,9 +265,7 @@ impl Conv {
                     let scale = 1.0 / (head.q.out_dim() as f32).sqrt();
                     let logits = t.scale(dots, scale);
                     let att = t.segment_softmax(logits, Arc::clone(&batch.dst), n);
-                    let msgs = t.gather_rows(v, Arc::clone(&batch.src));
-                    let weighted = t.mul_col(msgs, att);
-                    outs.push(t.scatter_add_rows(weighted, Arc::clone(&batch.dst), n));
+                    outs.push(aggregate(t, v, att, batch));
                 }
                 let attended = t.concat_cols(&outs);
                 let skipped = skip.forward(store, t, x);
@@ -303,6 +302,12 @@ impl Conv {
             }
         }
     }
+}
+
+/// Attention-weighted sum of `x` over each node's incoming edges.
+fn aggregate(t: &mut Tape, x: Var, att: Var, batch: &Batch) -> Var {
+    let n = batch.num_nodes();
+    t.gather_scatter(x, Arc::clone(&batch.src), att, Arc::clone(&batch.dst), n)
 }
 
 /// PNA amplification/attenuation scalers `log(d+1)/delta` and

@@ -38,6 +38,6 @@ mod tape;
 pub mod check;
 pub mod init;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RECYCLE_CAP_BYTES, RECYCLE_MIN_BYTES};
 pub use param::{AdamConfig, GradSet, ImportError, ParamId, ParamStore};
 pub use tape::{Tape, Var};

@@ -1,7 +1,74 @@
-//! Row-major dense `f32` matrix.
+//! Row-major dense `f32` matrix, and the recycler behind its large buffers.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Buffers of at least this many bytes are recycled when their matrix is
+/// dropped; smaller ones go straight back to the allocator.
+pub const RECYCLE_MIN_BYTES: usize = 64 << 10;
+
+/// Total bytes the recycler holds at most. A dropped buffer that would
+/// push the free list past this goes back to the allocator instead.
+pub const RECYCLE_CAP_BYTES: usize = 32 << 20;
+
+/// Large buffers of dropped matrices, sorted by capacity.
+///
+/// A training step records its largest tensors (one row per edge) on a
+/// tape and drops them all when the tape goes. Returned to the allocator,
+/// that memory is often handed back to the OS and faulted in again by the
+/// next step; kept here, the next step's constructors reuse it. The list
+/// is process-wide rather than per thread because `par` starts fresh
+/// workers for every call.
+struct FreeList {
+    bufs: Vec<Vec<f32>>,
+    bytes: usize,
+}
+
+static FREE: Mutex<FreeList> = Mutex::new(FreeList {
+    bufs: Vec::new(),
+    bytes: 0,
+});
+
+/// The free list; it is consistent after any panic, so a poisoned lock is
+/// simply taken over.
+fn free_list() -> MutexGuard<'static, FreeList> {
+    FREE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn byte_size(buf: &Vec<f32>) -> usize {
+    buf.capacity() * std::mem::size_of::<f32>()
+}
+
+/// An empty buffer with room for `len` values: for a large `len`, the
+/// smallest recycled buffer that fits. Callers overwrite all `len` values.
+fn buffer(len: usize) -> Vec<f32> {
+    if len * std::mem::size_of::<f32>() >= RECYCLE_MIN_BYTES {
+        let mut list = free_list();
+        let i = list.bufs.partition_point(|b| b.capacity() < len);
+        if i < list.bufs.len() {
+            let mut buf = list.bufs.remove(i);
+            list.bytes -= byte_size(&buf);
+            buf.clear();
+            return buf;
+        }
+    }
+    Vec::with_capacity(len)
+}
+
+/// Keeps a large `buf` for reuse while the free list has room.
+fn recycle(buf: Vec<f32>) {
+    let bytes = byte_size(&buf);
+    if bytes < RECYCLE_MIN_BYTES {
+        return;
+    }
+    let mut list = free_list();
+    if list.bytes + bytes <= RECYCLE_CAP_BYTES {
+        let i = list.bufs.partition_point(|b| b.capacity() < buf.capacity());
+        list.bufs.insert(i, buf);
+        list.bytes += bytes;
+    }
+}
 
 /// A row-major dense matrix of `f32` values.
 ///
@@ -18,7 +85,12 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.transpose()[(0, 1)], 3.0);
 /// ```
-#[derive(Clone, PartialEq)]
+///
+/// Dropping a matrix whose buffer is at least [`RECYCLE_MIN_BYTES`] hands
+/// the buffer to a process-wide recycler (capped at [`RECYCLE_CAP_BYTES`]);
+/// [`Matrix::zeros`], [`Matrix::full`], `clone`, [`Matrix::map`] and the
+/// element-wise ops take their buffers from it and write every value.
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -50,23 +122,35 @@ impl fmt::Debug for Matrix {
     }
 }
 
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        let mut data = buffer(self.data.len());
+        data.extend_from_slice(&self.data);
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+}
+
+impl Drop for Matrix {
+    fn drop(&mut self) {
+        recycle(std::mem::take(&mut self.data));
+    }
+}
+
 impl Matrix {
     /// Creates a matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Matrix::full(rows, cols, 0.0)
     }
 
     /// Creates a matrix filled with a constant value.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
+        let mut data = buffer(rows * cols);
+        data.resize(rows * cols, value);
+        Matrix { rows, cols, data }
     }
 
     /// Creates a matrix from row-major data.
@@ -148,8 +232,8 @@ impl Matrix {
     }
 
     /// Consumes the matrix, returning its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Borrow of row `r` as a slice.
@@ -252,10 +336,12 @@ impl Matrix {
 
     /// Element-wise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+        let mut data = buffer(self.data.len());
+        data.extend(self.data.iter().map(|&x| f(x)));
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
         }
     }
 
@@ -299,15 +385,12 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
+        let mut data = buffer(self.data.len());
+        data.extend(self.data.iter().zip(&rhs.data).map(|(&a, &b)| f(a, b)));
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data,
         }
     }
 }
@@ -389,6 +472,96 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    /// One test owns the process-wide free list at a time.
+    static RECYCLER_TESTS: Mutex<()> = Mutex::new(());
+
+    /// A matrix of `bytes` bytes, 64 columns wide.
+    fn sized(bytes: usize, value: f32) -> Matrix {
+        Matrix::full(bytes / (64 * 4), 64, value)
+    }
+
+    #[test]
+    fn recycler_bounds_are_pinned() {
+        assert_eq!(RECYCLE_MIN_BYTES, 64 << 10);
+        assert_eq!(RECYCLE_CAP_BYTES, 32 << 20);
+    }
+
+    #[test]
+    fn recycled_buffers_are_rewritten_in_full() {
+        let _serial = RECYCLER_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *free_list() = FreeList {
+            bufs: Vec::new(),
+            bytes: 0,
+        };
+        let ones = sized(2 * RECYCLE_MIN_BYTES, 1.0);
+        let ptr = ones.as_slice().as_ptr();
+        drop(ones);
+        let zeros = sized(2 * RECYCLE_MIN_BYTES, 0.0);
+        assert_eq!(zeros.as_slice().as_ptr(), ptr, "the buffer was not reused");
+        assert!(zeros.as_slice().iter().all(|&v| v == 0.0));
+        // a smaller request reuses the larger buffer and reads only its own
+        // values
+        drop(zeros);
+        let small = Matrix::zeros(RECYCLE_MIN_BYTES / 4 + 1, 1);
+        assert_eq!(small.as_slice().as_ptr(), ptr);
+        assert_eq!(small.len(), RECYCLE_MIN_BYTES / 4 + 1);
+        assert!(small.as_slice().iter().all(|&v| v == 0.0));
+        drop(small);
+        let a = Matrix::from_fn(RECYCLE_MIN_BYTES / 4, 1, |r, _| r as f32);
+        let copy = a.clone();
+        assert_eq!(copy.as_slice().as_ptr(), ptr);
+        assert_eq!(copy, a);
+        drop(copy);
+        assert_eq!(a.map(|v| v + 1.0).as_slice()[7], 8.0);
+        assert_eq!(a.add(&a).as_slice()[7], 14.0);
+        assert_eq!(a.into_vec().len(), RECYCLE_MIN_BYTES / 4);
+    }
+
+    #[test]
+    fn small_buffers_are_not_recycled() {
+        let _serial = RECYCLER_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let before = free_list().bytes;
+        drop(sized(RECYCLE_MIN_BYTES / 2, 1.0));
+        assert_eq!(free_list().bytes, before);
+    }
+
+    #[test]
+    fn recycled_bytes_never_exceed_the_cap() {
+        let _serial = RECYCLER_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let live: Vec<Matrix> = (0..48).map(|_| sized(1 << 20, 1.0)).collect();
+        for m in live {
+            drop(m);
+            let list = free_list();
+            assert!(list.bytes <= RECYCLE_CAP_BYTES, "{} bytes", list.bytes);
+            let held: usize = list.bufs.iter().map(byte_size).sum();
+            assert_eq!(held, list.bytes);
+            assert!(list.bufs.is_sorted_by_key(|b| b.capacity()));
+        }
+        assert!(free_list().bytes > RECYCLE_CAP_BYTES - (1 << 20));
+    }
+
+    #[test]
+    fn a_poisoned_free_list_keeps_working() {
+        let _serial = RECYCLER_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = std::thread::spawn(|| {
+            let _list = FREE.lock();
+            panic!("poisoning the free list");
+        })
+        .join();
+        assert!(FREE.is_poisoned());
+        drop(sized(RECYCLE_MIN_BYTES, 1.0));
+        let zeros = sized(RECYCLE_MIN_BYTES, 0.0);
+        assert!(zeros.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

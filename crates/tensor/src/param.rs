@@ -294,15 +294,16 @@ impl ParamStore {
         for (idx, g) in grads.into_iter().enumerate() {
             let Some(g) = g else { continue };
             let e = &mut self.entries[idx];
-            for i in 0..g.len() {
-                let gi = g.as_slice()[i] + cfg.weight_decay * e.value.as_slice()[i];
-                let m = cfg.beta1 * e.m.as_slice()[i] + (1.0 - cfg.beta1) * gi;
-                let v = cfg.beta2 * e.v.as_slice()[i] + (1.0 - cfg.beta2) * gi * gi;
-                e.m.as_mut_slice()[i] = m;
-                e.v.as_mut_slice()[i] = v;
-                let mhat = m / bc1;
-                let vhat = v / bc2;
-                e.value.as_mut_slice()[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+            assert_eq!(g.len(), e.value.len(), "gradient shape of {}", e.name);
+            let moments = e.m.as_mut_slice().iter_mut().zip(e.v.as_mut_slice());
+            let values = e.value.as_mut_slice().iter_mut().zip(moments);
+            for ((w, (m, v)), &gr) in values.zip(g.as_slice()) {
+                let gi = gr + cfg.weight_decay * *w;
+                *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * gi;
+                *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * gi * gi;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
             }
         }
     }

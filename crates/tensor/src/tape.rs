@@ -45,6 +45,10 @@ enum Op {
     GatherRows(Var, Idx),
     ScatterAddRows(Var, Idx, usize),
     SegmentMean(Var, Idx, usize),
+    /// `segment_mean(gather_rows(x, src), dst, n)`; `aux` holds the counts.
+    GatherMean(Var, Idx, Idx),
+    /// `scatter_add_rows(mul_col(gather_rows(x, src), w), dst, n)`.
+    GatherScatter(Var, Idx, Var, Idx),
     /// Per-(segment, column) max; `aux` stores the winning source row.
     SegmentMax(Var, Idx, usize),
     SegmentSoftmax(Var, Idx, usize),
@@ -184,12 +188,11 @@ impl Tape {
     pub fn add_row(&mut self, x: Var, bias: Var) -> Var {
         let (r, c) = self.shape(x);
         assert_eq!(self.shape(bias), (1, c), "bias must be 1x{c}");
-        let xm = &self.nodes[x.0].value;
-        let bm = &self.nodes[bias.0].value;
-        let mut out = Matrix::zeros(r, c);
+        let mut out = self.nodes[x.0].value.clone();
+        let bm = self.nodes[bias.0].value.as_slice();
         for i in 0..r {
-            for j in 0..c {
-                out[(i, j)] = xm[(i, j)] + bm[(0, j)];
+            for (o, &b) in out.row_mut(i).iter_mut().zip(bm) {
+                *o += b;
             }
         }
         self.push(Op::AddRow(x, bias), out)
@@ -201,15 +204,12 @@ impl Tape {
     ///
     /// Panics if `a` is not `r x 1`.
     pub fn mul_col(&mut self, x: Var, a: Var) -> Var {
-        let (r, c) = self.shape(x);
+        let r = self.shape(x).0;
         assert_eq!(self.shape(a), (r, 1), "scale vector must be {r}x1");
-        let xm = &self.nodes[x.0].value;
-        let am = &self.nodes[a.0].value;
-        let mut out = Matrix::zeros(r, c);
-        for i in 0..r {
-            let s = am[(i, 0)];
-            for j in 0..c {
-                out[(i, j)] = xm[(i, j)] * s;
+        let mut out = self.nodes[x.0].value.clone();
+        for (i, &s) in self.nodes[a.0].value.as_slice().iter().enumerate() {
+            for o in out.row_mut(i) {
+                *o *= s;
             }
         }
         self.push(Op::MulCol(x, a), out)
@@ -279,12 +279,11 @@ impl Tape {
         for &p in parts {
             let pm = &self.nodes[p.0].value;
             assert_eq!(pm.rows(), rows, "concat_cols row mismatch");
+            let pc = pm.cols();
             for i in 0..rows {
-                for j in 0..pm.cols() {
-                    out[(i, off + j)] = pm[(i, j)];
-                }
+                out.row_mut(i)[off..off + pc].copy_from_slice(pm.row(i));
             }
-            off += pm.cols();
+            off += pc;
         }
         self.push(Op::ConcatCols(parts.to_vec()), out)
     }
@@ -349,15 +348,71 @@ impl Tape {
                 *o += v;
             }
         }
-        for (s, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                let inv = 1.0 / count as f32;
-                for v in out.row_mut(s) {
-                    *v *= inv;
-                }
+        average_rows(&mut out, &counts);
+        self.push_aux(Op::SegmentMean(x, seg, n_seg), out, counts)
+    }
+
+    /// Mean over incoming edges: `out[d]` averages `x[src[e]]` over the
+    /// edges `e` with `dst[e] == d`, with `out` having `n` rows.
+    ///
+    /// Equal, value and gradient, bit for bit, to
+    /// `segment_mean(gather_rows(x, src), dst, n)`: both passes visit the
+    /// edges in stored order, so every row sums the same rounded terms in
+    /// the same order, but no per-edge tensor is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length or an index is out of
+    /// bounds.
+    pub fn gather_mean(&mut self, x: Var, src: Idx, dst: Idx, n: usize) -> Var {
+        let xm = &self.nodes[x.0].value;
+        assert_eq!(src.len(), dst.len(), "edge index length mismatch");
+        let mut out = Matrix::zeros(n, xm.cols());
+        let mut counts = vec![0u32; n];
+        for (&s, &d) in src.iter().zip(dst.iter()) {
+            let (s, d) = (s as usize, d as usize);
+            assert!(s < xm.rows(), "gather index {} out of bounds", s);
+            counts[d] += 1;
+            for (o, &v) in out.row_mut(d).iter_mut().zip(xm.row(s)) {
+                *o += v;
             }
         }
-        self.push_aux(Op::SegmentMean(x, seg, n_seg), out, counts)
+        average_rows(&mut out, &counts);
+        self.push_aux(Op::GatherMean(x, src, dst), out, counts)
+    }
+
+    /// Weighted sum over incoming edges: `out[d]` sums `x[src[e]] * w[e]`
+    /// over the edges `e` with `dst[e] == d`, with `out` having `n` rows
+    /// and `w` one weight per edge (`E x 1`).
+    ///
+    /// Equal, value and gradient, bit for bit, to
+    /// `scatter_add_rows(mul_col(gather_rows(x, src), w), dst, n)`, for
+    /// the same reason as [`Tape::gather_mean`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`, `dst` and `w` disagree in length or an index is
+    /// out of bounds.
+    pub fn gather_scatter(&mut self, x: Var, src: Idx, w: Var, dst: Idx, n: usize) -> Var {
+        let xm = &self.nodes[x.0].value;
+        let wm = &self.nodes[w.0].value;
+        assert_eq!(src.len(), dst.len(), "edge index length mismatch");
+        assert_eq!(
+            wm.shape(),
+            (src.len(), 1),
+            "edge weights must be {}x1",
+            src.len()
+        );
+        let mut out = Matrix::zeros(n, xm.cols());
+        for ((&s, &d), &we) in src.iter().zip(dst.iter()).zip(wm.as_slice()) {
+            let (s, d) = (s as usize, d as usize);
+            assert!(s < xm.rows(), "gather index {} out of bounds", s);
+            assert!(d < n, "scatter index {} out of bounds ({})", d, n);
+            for (o, &v) in out.row_mut(d).iter_mut().zip(xm.row(s)) {
+                *o += v * we;
+            }
+        }
+        self.push(Op::GatherScatter(x, src, w, dst), out)
     }
 
     /// Segment max: per-(segment, column) maximum of the rows of `x`.
@@ -373,11 +428,12 @@ impl Tape {
         let mut arg = vec![u32::MAX; n_seg * cols];
         for (e, &s) in seg.iter().enumerate() {
             let s = s as usize;
-            let src = xm.row(e);
-            for (j, &v) in src.iter().enumerate() {
-                if v > out[(s, j)] {
-                    out[(s, j)] = v;
-                    arg[s * cols + j] = e as u32;
+            let best = out.row_mut(s);
+            let won = &mut arg[s * cols..(s + 1) * cols];
+            for ((b, w), &v) in best.iter_mut().zip(won).zip(xm.row(e)) {
+                if v > *b {
+                    *b = v;
+                    *w = e as u32;
                 }
             }
         }
@@ -531,26 +587,23 @@ impl Tape {
                 let (x, bias) = (*x, *bias);
                 let mut db = Matrix::zeros(1, g.cols());
                 for r in 0..g.rows() {
-                    for c in 0..g.cols() {
-                        db[(0, c)] += g[(r, c)];
+                    for (d, &v) in db.as_mut_slice().iter_mut().zip(g.row(r)) {
+                        *d += v;
                     }
                 }
                 Step::Two(x, g.clone(), bias, db)
             }
             Op::MulCol(x, a) => {
                 let (x, a) = (*x, *a);
-                let am = &self.nodes[a.0].value;
+                let am = self.nodes[a.0].value.as_slice();
                 let xm = &self.nodes[x.0].value;
-                let mut dx = Matrix::zeros(g.rows(), g.cols());
+                let mut dx = g.clone();
                 let mut da = Matrix::zeros(g.rows(), 1);
-                for r in 0..g.rows() {
-                    let s = am[(r, 0)];
-                    let mut acc = 0.0;
-                    for c in 0..g.cols() {
-                        dx[(r, c)] = g[(r, c)] * s;
-                        acc += g[(r, c)] * xm[(r, c)];
+                for (r, (&s, acc)) in am.iter().zip(da.as_mut_slice()).enumerate() {
+                    for (d, &v) in dx.row_mut(r).iter_mut().zip(xm.row(r)) {
+                        *acc += *d * v;
+                        *d *= s;
                     }
-                    da[(r, 0)] = acc;
                 }
                 Step::Two(x, dx, a, da)
             }
@@ -618,9 +671,7 @@ impl Tape {
                     let pc = self.nodes[p.0].value.cols();
                     let mut dp = Matrix::zeros(g.rows(), pc);
                     for r in 0..g.rows() {
-                        for c in 0..pc {
-                            dp[(r, c)] = g[(r, off + c)];
-                        }
+                        dp.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
                     }
                     off += pc;
                     grads.push((p, dp));
@@ -662,17 +713,49 @@ impl Tape {
                 }
                 Step::One(x, dx)
             }
+            Op::GatherMean(x, src, dst) => {
+                let x = *x;
+                let counts = &self.nodes[i].aux;
+                let xm = &self.nodes[x.0].value;
+                let mut dx = Matrix::zeros(xm.rows(), xm.cols());
+                for (&s, &d) in src.iter().zip(dst.iter()) {
+                    let inv = 1.0 / counts[d as usize].max(1) as f32;
+                    for (o, &v) in dx.row_mut(s as usize).iter_mut().zip(g.row(d as usize)) {
+                        *o += v * inv;
+                    }
+                }
+                Step::One(x, dx)
+            }
+            Op::GatherScatter(x, src, w, dst) => {
+                let (x, w) = (*x, *w);
+                let xm = &self.nodes[x.0].value;
+                let wm = self.nodes[w.0].value.as_slice();
+                let mut dx = Matrix::zeros(xm.rows(), xm.cols());
+                let mut dw = Matrix::zeros(wm.len(), 1);
+                let edges = src.iter().zip(dst.iter()).zip(wm).zip(dw.as_mut_slice());
+                for (((&s, &d), &we), dwe) in edges {
+                    let gd = g.row(d as usize);
+                    for (&gv, &v) in gd.iter().zip(xm.row(s as usize)) {
+                        *dwe += gv * v;
+                    }
+                    for (o, &gv) in dx.row_mut(s as usize).iter_mut().zip(gd) {
+                        *o += gv * we;
+                    }
+                }
+                Step::Two(x, dx, w, dw)
+            }
             Op::SegmentMax(x, _, n_seg) => {
                 let (x, n_seg) = (*x, *n_seg);
-                let arg = self.nodes[i].aux.clone();
+                let arg = &self.nodes[i].aux;
                 let xm = &self.nodes[x.0].value;
                 let cols = xm.cols();
                 let mut dx = Matrix::zeros(xm.rows(), cols);
+                let dxs = dx.as_mut_slice();
                 for s in 0..n_seg {
-                    for j in 0..cols {
-                        let e = arg[s * cols + j];
+                    let won = &arg[s * cols..(s + 1) * cols];
+                    for (j, (&e, &v)) in won.iter().zip(g.row(s)).enumerate() {
                         if e != u32::MAX {
-                            dx[(e as usize, j)] += g[(s, j)];
+                            dxs[e as usize * cols + j] += v;
                         }
                     }
                 }
@@ -696,11 +779,8 @@ impl Tape {
                 let x = *x;
                 let xm = &self.nodes[x.0].value;
                 let mut dx = Matrix::zeros(xm.rows(), xm.cols());
-                for r in 0..xm.rows() {
-                    let gv = g[(r, 0)];
-                    for c in 0..xm.cols() {
-                        dx[(r, c)] = gv;
-                    }
+                for (r, &gv) in g.as_slice().iter().enumerate() {
+                    dx.row_mut(r).fill(gv);
                 }
                 Step::One(x, dx)
             }
@@ -752,6 +832,18 @@ impl Tape {
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+}
+
+/// Divides every row of `out` by its count; rows counting 0 stay zero.
+fn average_rows(out: &mut Matrix, counts: &[u32]) {
+    for (s, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            let inv = 1.0 / count as f32;
+            for v in out.row_mut(s) {
+                *v *= inv;
+            }
+        }
     }
 }
 
@@ -836,6 +928,73 @@ mod tests {
         assert_eq!(t.grad(x).as_slice(), &[0.0, 0.5, 0.5]);
     }
 
+    /// Edge lists `(src, dst)` over five nodes: duplicate edges (2 -> 1
+    /// twice), self-loops (0 -> 0, 3 -> 3), an isolated node (4) and, in
+    /// the second case, no edges at all. Nodes 0-3 each send and receive
+    /// three or more messages, so a change of summation order shows.
+    fn edge_cases() -> Vec<(Idx, Idx)> {
+        vec![
+            (
+                Arc::new(vec![0, 2, 2, 1, 0, 3, 2, 1, 0, 3, 1, 3]),
+                Arc::new(vec![1, 1, 1, 0, 0, 3, 3, 2, 2, 2, 3, 0]),
+            ),
+            (Arc::new(vec![]), Arc::new(vec![])),
+        ]
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The value of `agg(x, w)` for 5 x 3 node features `x` and `edges`
+    /// x 1 edge weights `w`, and the gradients of both under a loss that
+    /// weights every output element differently, as raw bits.
+    fn aggregate_bits(edges: usize, agg: impl Fn(&mut Tape, Var, Var) -> Var) -> [Vec<u32>; 3] {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::from_fn(5, 3, |r, c| {
+            ((r * 3 + c) as f32 * 0.7).sin()
+        }));
+        let w = t.leaf(Matrix::from_fn(edges, 1, |r, _| (r as f32 * 1.3).cos()));
+        let out = agg(&mut t, x, w);
+        let (rows, cols) = t.value(out).shape();
+        let spread = t.leaf(Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f32 * 0.37).sin() + 0.1
+        }));
+        let weighted = t.mul(out, spread);
+        let loss = t.mean_all(weighted);
+        t.backward(loss);
+        [bits(t.value(out)), bits(&t.grad(x)), bits(&t.grad(w))]
+    }
+
+    #[test]
+    fn gather_mean_equals_the_unfused_chain_bit_for_bit() {
+        for (src, dst) in edge_cases() {
+            let fused = aggregate_bits(src.len(), |t, x, _| {
+                t.gather_mean(x, Arc::clone(&src), Arc::clone(&dst), 5)
+            });
+            let chain = aggregate_bits(src.len(), |t, x, _| {
+                let msgs = t.gather_rows(x, Arc::clone(&src));
+                t.segment_mean(msgs, Arc::clone(&dst), 5)
+            });
+            assert_eq!(fused, chain, "edges {src:?} -> {dst:?}");
+        }
+    }
+
+    #[test]
+    fn gather_scatter_equals_the_unfused_chain_bit_for_bit() {
+        for (src, dst) in edge_cases() {
+            let fused = aggregate_bits(src.len(), |t, x, w| {
+                t.gather_scatter(x, Arc::clone(&src), w, Arc::clone(&dst), 5)
+            });
+            let chain = aggregate_bits(src.len(), |t, x, w| {
+                let msgs = t.gather_rows(x, Arc::clone(&src));
+                let weighted = t.mul_col(msgs, w);
+                t.scatter_add_rows(weighted, Arc::clone(&dst), 5)
+            });
+            assert_eq!(fused, chain, "edges {src:?} -> {dst:?}");
+        }
+    }
+
     // Numerical gradient checks for every differentiable op.
 
     #[test]
@@ -898,6 +1057,18 @@ mod tests {
             let m = t.segment_mean(x, Arc::clone(&seg), 3);
             let mx = t.segment_max(x, Arc::clone(&seg), 3);
             let c = t.concat_cols(&[m, mx]);
+            t.mean_all(c)
+        });
+    }
+
+    #[test]
+    fn numcheck_fused_aggregation() {
+        let (src, dst) = edge_cases().swap_remove(0);
+        numeric_grad(5, 2, move |t, x| {
+            let w = t.leaf(Matrix::from_fn(src.len(), 1, |r, _| 0.3 + 0.2 * r as f32));
+            let mean = t.gather_mean(x, Arc::clone(&src), Arc::clone(&dst), 5);
+            let sum = t.gather_scatter(x, Arc::clone(&src), w, Arc::clone(&dst), 5);
+            let c = t.concat_cols(&[mean, sum]);
             t.mean_all(c)
         });
     }
