@@ -119,6 +119,14 @@ QOR_THREADS=4 ./target/release/qor-search --self-test
 echo "==> benchmark tests"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
+# Sweep correctness smoke: one short dse_sweep round through a fresh
+# Session. The benchmark exits 1 when a kernel's predicted front misses its
+# ADRS bound or when a sampled Session prediction differs from uncached
+# predict, so the cached inference path is checked end to end.
+echo "==> dse_sweep correctness smoke"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload dse_sweep --seed 1 --seconds 1 --trace 0 >/dev/null
+
 # Library crates expose typed errors (qor_core::QorError, kernels::KernelError);
 # Box<dyn Error> is only tolerated inside comments (doctest scaffolding), in
 # binaries (*/bin/) and in the qor-bench harness, whose subcommand `run`

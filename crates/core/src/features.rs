@@ -1,6 +1,6 @@
 //! Node and loop-level feature annotation (paper §III-B, Table II).
 
-use cdfg::{Graph, NodeKind};
+use cdfg::{Graph, Node, NodeKind, SuperFeatures};
 use gnn::GraphData;
 use hir::Function;
 use hlsim::{OpCost, OpLibrary};
@@ -76,6 +76,163 @@ fn mnemonic_cost(lib: &OpLibrary, mnemonic: &str) -> OpCost {
     lib.cost(&kind)
 }
 
+/// Index of `mnemonic` in [`MNEMONICS`], or `MNEMONICS.len()` for a
+/// mnemonic outside the table (no one-hot bit, zero-cost placeholder).
+pub(crate) fn mnemonic_index(mnemonic: &str) -> usize {
+    MNEMONICS
+        .iter()
+        .position(|m| *m == mnemonic)
+        .unwrap_or(MNEMONICS.len())
+}
+
+/// One mnemonic's operator cost: the five feature columns after the
+/// counts (`#cycle, delay, LUT, FF, DSP`) and the raw values the
+/// aggregates sum.
+struct Cost {
+    cols: [f32; 5],
+    cycles: u32,
+    lut: u32,
+    ff: u32,
+    dsp: u32,
+}
+
+/// [`Cost`] per [`mnemonic_index`], computed once per process.
+fn cost_of(index: usize) -> &'static Cost {
+    static TABLE: std::sync::OnceLock<Vec<Cost>> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let lib = OpLibrary::zcu102();
+        (0..=MNEMONICS.len())
+            .map(|i| {
+                let c = mnemonic_cost(&lib, MNEMONICS.get(i).copied().unwrap_or(""));
+                Cost {
+                    cols: [
+                        log1p(f64::from(c.cycles)),
+                        c.delay_ns / lib.clock_ns,
+                        log1p(f64::from(c.lut)),
+                        log1p(f64::from(c.ff)),
+                        log1p(f64::from(c.dsp)),
+                    ],
+                    cycles: c.cycles,
+                    lut: c.lut,
+                    ff: c.ff,
+                    dsp: c.dsp,
+                }
+            })
+            .collect()
+    });
+    &table[index]
+}
+
+/// The weight-independent columns of a node's feature row:
+/// `log1p` of `#invocation`, in-degree, out-degree and hardware weight.
+pub(crate) fn count_features(invocations: u64, in_deg: u32, out_deg: u32, hw: u64) -> [f32; 4] {
+    [
+        log1p(invocations as f64),
+        log1p(f64::from(in_deg)),
+        log1p(f64::from(out_deg)),
+        log1p(hw as f64),
+    ]
+}
+
+/// Writes one node's feature row (see [`graph_to_gnn`]): the one-hot
+/// optype of mnemonic `index`, the [`count_features`], and either the
+/// operator costs or, for a super node, its QoR annotation.
+pub(crate) fn write_row(
+    row: &mut [f32],
+    index: usize,
+    counts: &[f32; 4],
+    features: Option<&SuperFeatures>,
+) {
+    if index < MNEMONICS.len() {
+        row[index] = 1.0;
+    }
+    let base = MNEMONICS.len();
+    row[base..base + 3].copy_from_slice(&counts[..3]);
+    row[base + 11] = counts[3];
+    match features {
+        Some(f) => {
+            row[base + 3] = log1p(f.il);
+            row[base + 4] = (f.ii / 64.0) as f32;
+            row[base + 5] = log1p(f.lut);
+            row[base + 6] = log1p(f.ff);
+            row[base + 7] = log1p(f.dsp);
+            row[base + 8] = log1p(f.latency);
+            row[base + 9] = log1p(f.tc);
+            row[base + 10] = log1p(f.ii);
+        }
+        // super-only columns stay zero
+        None => row[base + 3..base + 8].copy_from_slice(&cost_of(index).cols),
+    }
+}
+
+/// The running sums behind [`graph_aggregates`], fed node by node in
+/// graph order.
+#[derive(Default)]
+pub(crate) struct AggregateSums {
+    inv: f64,
+    cycles: f64,
+    lut: f64,
+    ff: f64,
+    dsp: f64,
+    work: f64,
+    super_lat: f64,
+}
+
+impl AggregateSums {
+    /// Adds one node: mnemonic `index`, its invocations and hardware
+    /// weight, and its annotation when it is a super node.
+    pub(crate) fn add(
+        &mut self,
+        index: usize,
+        invocations: u64,
+        hw_weight: u64,
+        features: Option<&SuperFeatures>,
+    ) {
+        let hw = hw_weight as f64;
+        self.inv += invocations as f64 * hw;
+        match features {
+            Some(f) => {
+                self.lut += f.lut * hw;
+                self.ff += f.ff * hw;
+                self.dsp += f.dsp * hw;
+                self.super_lat += f.latency * invocations as f64;
+            }
+            None => {
+                let c = cost_of(index);
+                self.cycles += f64::from(c.cycles);
+                self.lut += f64::from(c.lut) * hw;
+                self.ff += f64::from(c.ff) * hw;
+                self.dsp += f64::from(c.dsp) * hw;
+                self.work += invocations as f64 * hw * f64::from(c.cycles.max(1));
+            }
+        }
+    }
+
+    /// The [`AGG_DIM`] aggregates of a graph with `nodes` nodes and
+    /// `edges` edges.
+    pub(crate) fn finish(&self, nodes: usize, edges: usize) -> Vec<f32> {
+        vec![
+            log1p(nodes as f64),
+            log1p(edges as f64),
+            log1p(self.inv),
+            log1p(self.cycles),
+            log1p(self.lut),
+            log1p(self.ff),
+            log1p(self.dsp),
+            log1p(self.work),
+            log1p(self.super_lat),
+        ]
+    }
+}
+
+/// The annotation of a super node, `None` for any other node.
+fn super_features(node: &Node) -> Option<&SuperFeatures> {
+    match &node.kind {
+        NodeKind::Super { features, .. } => Some(features),
+        _ => None,
+    }
+}
+
 /// Converts a [`Graph`] into GNN input, annotating every node with the
 /// Table II features.
 ///
@@ -84,46 +241,19 @@ fn mnemonic_cost(lib: &OpLibrary, mnemonic: &str) -> OpCost {
 /// in the same columns ordinary nodes use for operator costs — exactly the
 /// paper's "super nodes hold a complete set of node features" design.
 pub fn graph_to_gnn(graph: &Graph) -> GraphData {
-    let lib = OpLibrary::zcu102();
     let n = graph.num_nodes();
     let in_deg = graph.in_degrees();
     let out_deg = graph.out_degrees();
     let mut x = Matrix::zeros(n, FEATURE_DIM);
-
     for (i, node) in graph.nodes.iter().enumerate() {
-        // one-hot optype
-        if let Some(pos) = MNEMONICS.iter().position(|m| *m == node.mnemonic) {
-            x[(i, pos)] = 1.0;
-        }
-        let base = MNEMONICS.len();
-        x[(i, base)] = log1p(node.invocations as f64);
-        x[(i, base + 1)] = log1p(f64::from(in_deg[i]));
-        x[(i, base + 2)] = log1p(f64::from(out_deg[i]));
-        x[(i, base + 11)] = log1p(node.hw_weight as f64);
-
-        match &node.kind {
-            NodeKind::Super { features, .. } => {
-                x[(i, base + 3)] = log1p(features.il);
-                x[(i, base + 4)] = (features.ii / 64.0) as f32;
-                x[(i, base + 5)] = log1p(features.lut);
-                x[(i, base + 6)] = log1p(features.ff);
-                x[(i, base + 7)] = log1p(features.dsp);
-                x[(i, base + 8)] = log1p(features.latency);
-                x[(i, base + 9)] = log1p(features.tc);
-                x[(i, base + 10)] = log1p(features.ii);
-            }
-            _ => {
-                let c = mnemonic_cost(&lib, node.mnemonic);
-                x[(i, base + 3)] = log1p(f64::from(c.cycles));
-                x[(i, base + 4)] = c.delay_ns / lib.clock_ns;
-                x[(i, base + 5)] = log1p(f64::from(c.lut));
-                x[(i, base + 6)] = log1p(f64::from(c.ff));
-                x[(i, base + 7)] = log1p(f64::from(c.dsp));
-                // super-only columns stay zero
-            }
-        }
+        let counts = count_features(node.invocations, in_deg[i], out_deg[i], node.hw_weight);
+        write_row(
+            x.row_mut(i),
+            mnemonic_index(node.mnemonic),
+            &counts,
+            super_features(node),
+        );
     }
-
     let src: Vec<u32> = graph.edges.iter().map(|e| e.src).collect();
     let dst: Vec<u32> = graph.edges.iter().map(|e| e.dst).collect();
     GraphData::new(x, src, dst)
@@ -138,40 +268,16 @@ pub fn graph_to_gnn(graph: &Graph) -> GraphData {
 /// size-independent (mean ⊕ max pooling) without losing the extensive
 /// signals that resource totals depend on.
 pub fn graph_aggregates(graph: &Graph) -> Vec<f32> {
-    let lib = OpLibrary::zcu102();
-    let (mut inv, mut cycles, mut lut, mut ff, mut dsp) = (0f64, 0f64, 0f64, 0f64, 0f64);
-    let (mut work, mut super_lat) = (0f64, 0f64);
+    let mut sums = AggregateSums::default();
     for node in &graph.nodes {
-        let hw = node.hw_weight as f64;
-        inv += node.invocations as f64 * hw;
-        match &node.kind {
-            NodeKind::Super { features, .. } => {
-                lut += features.lut * hw;
-                ff += features.ff * hw;
-                dsp += features.dsp * hw;
-                super_lat += features.latency * node.invocations as f64;
-            }
-            _ => {
-                let c = mnemonic_cost(&lib, node.mnemonic);
-                cycles += f64::from(c.cycles);
-                lut += f64::from(c.lut) * hw;
-                ff += f64::from(c.ff) * hw;
-                dsp += f64::from(c.dsp) * hw;
-                work += node.invocations as f64 * hw * f64::from(c.cycles.max(1));
-            }
-        }
+        sums.add(
+            mnemonic_index(node.mnemonic),
+            node.invocations,
+            node.hw_weight,
+            super_features(node),
+        );
     }
-    vec![
-        log1p(graph.num_nodes() as f64),
-        log1p(graph.num_edges() as f64),
-        log1p(inv),
-        log1p(cycles),
-        log1p(lut),
-        log1p(ff),
-        log1p(dsp),
-        log1p(work),
-        log1p(super_lat),
-    ]
+    sums.finish(graph.num_nodes(), graph.num_edges())
 }
 
 /// Loop-level features of one inner-hierarchy loop under `cfg`:

@@ -45,12 +45,21 @@
 //!   against the restricted config. Byte-identity with the full config is
 //!   guaranteed by the restriction being exactly the region's read
 //!   support (and enforced by the differential test suite).
+//! * [`PipeKey::CondensedCfg`] — the projection of the configuration the
+//!   condensed whole-design graph's structure depends on: the region
+//!   roots (not their pipelined flags), the unroll factors the condensed
+//!   build reads and every array's partitions (see `condensed.rs`).
+//!   It backdates when an edit leaves the structure alone, e.g. a region
+//!   switching between pipelined and not.
+//! * [`PipeKey::Condensed`] — the condensed-graph skeleton slot. It reads
+//!   only `CondensedCfg`, so its version cache finds a skeleton again for
+//!   every design that shares the projection. Executing it only allocates
+//!   an empty slot; the first prediction that needs the skeleton builds
+//!   it after the database's lock is released.
 //!
 //! [`prepare_design`] then assembles a [`PreparedDesign`] from the
-//! hierarchy order and the per-loop `Arc`s — no tensor is copied — and
-//! stamps it with the *caller's* full configuration, since the
-//! weight-dependent back half (super-node condensation) reads outer-loop
-//! pragmas the per-region queries deliberately do not.
+//! hierarchy order, the per-loop `Arc`s and the skeleton slot — no tensor
+//! is copied — and stamps it with the caller's full configuration.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -58,8 +67,9 @@ use std::sync::Arc;
 use cdfg::GraphOptions;
 use hir::Function;
 use incr::{Key, QueryDb, Value};
-use pragma::{ArrayPartition, LoopPragma, PragmaConfig};
+use pragma::{ArrayPartition, LoopId, LoopPragma, PragmaConfig};
 
+use crate::condensed::{array_partitions, CondensedSlot, CondensedSpec};
 use crate::hash::Fnv1aHasher;
 use crate::hierarchy::{split_hierarchy, Hierarchy};
 use crate::model::{prepare_one_inner, PreparedDesign, PreparedInner};
@@ -80,6 +90,10 @@ pub enum PipeKey {
     RegionCfg(u32),
     /// Derived: one inner loop's prepared subgraph + features.
     LoopPrepared(u32),
+    /// Derived: what the condensed graph's structure depends on.
+    CondensedCfg,
+    /// Derived: the condensed-graph skeleton slot.
+    Condensed,
 }
 
 impl Key for PipeKey {
@@ -91,6 +105,8 @@ impl Key for PipeKey {
             PipeKey::LoopRole(_) => "loop_role",
             PipeKey::RegionCfg(_) => "region_cfg",
             PipeKey::LoopPrepared(_) => "loop_prepared",
+            PipeKey::CondensedCfg => "condensed_cfg",
+            PipeKey::Condensed => "condensed",
         }
     }
 
@@ -102,6 +118,8 @@ impl Key for PipeKey {
             PipeKey::LoopRole(i) => (3, i),
             PipeKey::RegionCfg(i) => (4, i),
             PipeKey::LoopPrepared(i) => (5, i),
+            PipeKey::CondensedCfg => (6, 0),
+            PipeKey::Condensed => (7, 0),
         };
         let mut h = Fnv1aHasher::new();
         h.write(&[tag]);
@@ -128,6 +146,10 @@ pub enum PipeVal {
     /// Prepared inner loop plus an input-derived identity fingerprint
     /// (the value is a pure function of its query inputs).
     LoopPrepared(Arc<PreparedInner>, u64),
+    /// The condensed-graph projection (its fingerprint is its own).
+    CondensedCfg(Arc<CondensedSpec>),
+    /// A skeleton slot plus an input-derived identity fingerprint.
+    Condensed(Arc<CondensedSlot>, u64),
 }
 
 impl Value for PipeVal {
@@ -142,6 +164,8 @@ impl Value for PipeVal {
             // never conflate designs on a 64-bit collision, or memo hits
             // could return non-identical bytes.
             (PipeVal::LoopPrepared(a, fa), PipeVal::LoopPrepared(b, fb)) => fa == fb && a == b,
+            (PipeVal::CondensedCfg(a), PipeVal::CondensedCfg(b)) => a == b,
+            (PipeVal::Condensed(a, fa), PipeVal::Condensed(b, fb)) => fa == fb && a == b,
             _ => false,
         }
     }
@@ -184,7 +208,10 @@ impl Value for PipeVal {
                 Some(false) => 1,
                 Some(true) => 2,
             },
-            PipeVal::RegionCfg(_, fp) | PipeVal::LoopPrepared(_, fp) => *fp,
+            PipeVal::RegionCfg(_, fp)
+            | PipeVal::LoopPrepared(_, fp)
+            | PipeVal::Condensed(_, fp) => *fp,
+            PipeVal::CondensedCfg(spec) => spec.fingerprint(),
         }
     }
 }
@@ -195,10 +222,11 @@ pub type PipelineDb = QueryDb<PipeKey, PipeVal>;
 
 /// Bound on the cross-revision version caches of one
 /// [`SharedCache`](crate::SharedCache), summed over its kernel databases.
-/// A full sweep of the largest held-out space (`mvt`, 4,053 query
-/// executions) fits, so a second sweep of any held-out space executes no
-/// query.
-pub const VERSION_CAP: usize = 4096;
+/// A full sweep of the largest held-out space (`mvt`, 7,978 query
+/// executions: one `Hierarchy` and one `CondensedCfg` per design, one
+/// `Condensed` per skeleton and the per-region queries) fits, so a second
+/// sweep of any held-out space executes no query.
+pub const VERSION_CAP: usize = 8192;
 
 /// The fixed context of one kernel database: its lowered function and the
 /// graph-construction bound.
@@ -219,6 +247,13 @@ impl Pipeline<'_> {
         match self.get(db, &PipeKey::LoopCfg(index as u32)) {
             PipeVal::LoopCfg(p) => p,
             _ => unreachable!("incr: LoopCfg key holds non-LoopCfg value"),
+        }
+    }
+
+    fn array_cfg(&self, db: &mut PipelineDb, index: usize) -> Arc<Vec<ArrayPartition>> {
+        match self.get(db, &PipeKey::ArrayCfg(index as u32)) {
+            PipeVal::ArrayCfg(p) => p,
+            _ => unreachable!("incr: ArrayCfg key holds non-ArrayCfg value"),
         }
     }
 
@@ -275,10 +310,7 @@ impl Pipeline<'_> {
                         .iter()
                         .position(|info| info.name == use_.array)
                         .expect("incr: a used array is declared");
-                    let parts = match self.get(db, &PipeKey::ArrayCfg(a as u32)) {
-                        PipeVal::ArrayCfg(p) => p,
-                        _ => unreachable!("incr: ArrayCfg key holds non-ArrayCfg value"),
-                    };
+                    let parts = self.array_cfg(db, a);
                     for (d, p) in parts.iter().enumerate() {
                         restricted.set_partition(use_.array.clone(), d as u32 + 1, *p);
                     }
@@ -310,14 +342,38 @@ impl Pipeline<'_> {
                 h.write_u64(rcfg_fp);
                 PipeVal::LoopPrepared(Arc::new(inner), h.finish())
             }
+            PipeKey::CondensedCfg => {
+                let hier = self.hierarchy(db);
+                let roots: Vec<LoopId> = hier.inner.iter().map(|r| r.id.clone()).collect();
+                let parts: Vec<_> = (0..func.arrays.len())
+                    .map(|a| self.array_cfg(db, a))
+                    .collect();
+                // reads only the loop pragmas the condensed build reads, so
+                // an edit inside a region leaves this query green
+                let spec = CondensedSpec::new(func, self.max_nodes, &roots, &parts, |i| {
+                    self.loop_cfg(db, i).unroll
+                });
+                PipeVal::CondensedCfg(Arc::new(spec))
+            }
+            PipeKey::Condensed => {
+                let spec = match self.get(db, &PipeKey::CondensedCfg) {
+                    PipeVal::CondensedCfg(spec) => spec,
+                    _ => unreachable!("incr: CondensedCfg key holds non-CondensedCfg value"),
+                };
+                let mut h = Fnv1aHasher::new();
+                h.write_u64(key.fingerprint());
+                h.write_u64(spec.fingerprint());
+                PipeVal::Condensed(Arc::new(CondensedSlot::new(spec)), h.finish())
+            }
         }
     }
 }
 
 /// Builds a [`PreparedDesign`] through the kernel database `db`: seeds the
-/// inputs from `cfg`, fetches the hierarchy and each inner loop's prepared
-/// subgraph (memoized), and assembles the result around the caller's full
-/// configuration.
+/// inputs from `cfg`, fetches the hierarchy, each inner loop's prepared
+/// subgraph and the condensed-graph skeleton slot (all memoized), and
+/// assembles the result around the caller's full configuration. The slot
+/// may still be empty: the first prediction that needs it fills it.
 ///
 /// `db` must only ever see this `func` and `max_nodes`. The result is
 /// byte-identical to `HierarchicalModel::prepare` with the same
@@ -336,13 +392,10 @@ pub fn prepare_design(
             PipeVal::LoopCfg(cfg.loop_pragma(&meta.id)),
         );
     }
-    for (i, info) in func.arrays.iter().enumerate() {
-        let parts: Vec<ArrayPartition> = (1..=info.dims.len() as u32)
-            .map(|d| cfg.partition(&info.name, d))
-            .collect();
+    for i in 0..func.arrays.len() {
         db.set_input(
             PipeKey::ArrayCfg(i as u32),
-            PipeVal::ArrayCfg(Arc::new(parts)),
+            PipeVal::ArrayCfg(Arc::new(array_partitions(func, cfg, i))),
         );
     }
     let pipeline = Pipeline { func, max_nodes };
@@ -362,9 +415,14 @@ pub fn prepare_design(
             }
         })
         .collect();
+    let condensed = match pipeline.get(db, &PipeKey::Condensed) {
+        PipeVal::Condensed(slot, _) => slot,
+        _ => unreachable!("incr: Condensed key holds non-Condensed value"),
+    };
     PreparedDesign {
         func: func.clone(),
         cfg: cfg.clone(),
         inner,
+        condensed,
     }
 }

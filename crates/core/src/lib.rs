@@ -35,6 +35,7 @@
 //! # }
 //! ```
 
+mod condensed;
 pub mod dataset;
 pub mod error;
 pub mod features;

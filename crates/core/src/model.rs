@@ -12,12 +12,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use tensor::{AdamConfig, GradSet, Matrix, ParamStore, Tape, Var};
 
+use crate::condensed::{array_partitions, CondensedSlot, CondensedSpec};
 use crate::dataset::{self, DataOptions, DesignSample, LabeledDesigns};
 use crate::error::QorError;
 use crate::features::{
     graph_aggregates, graph_to_gnn, loop_level_features, AGG_DIM, FEATURE_DIM, LOOP_FEATURE_DIM,
 };
-use crate::hierarchy::split_hierarchy;
+use crate::hierarchy::{split_hierarchy, Hierarchy};
 
 fn log1p(v: f64) -> f32 {
     (v.max(0.0) + 1.0).ln() as f32
@@ -322,17 +323,21 @@ pub const BANKS: [&str; 3] = ["gnn_p", "gnn_np", "gnn_g"];
 
 /// The weight-independent front half of one design's prediction: the
 /// hierarchy split, per-inner-loop subgraph construction and feature
-/// annotation, which dominate end-to-end inference cost.
+/// annotation, and the skeleton of the condensed whole-design graph.
 ///
 /// Built once by [`HierarchicalModel::prepare`] and replayed by
 /// [`HierarchicalModel::predict_prepared`], which only pays the GNN
-/// forward passes. [`crate::Session`] memoizes these per
-/// `(kernel source, pragma config)` for DSE-style repeated queries.
+/// forward passes and writes the super-node rows into the skeleton.
+/// [`crate::Session`] memoizes these per `(kernel source, pragma config)`
+/// for DSE-style repeated queries; there the skeleton is shared by every
+/// design with the same condensed structure and built by the first
+/// prediction that needs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedDesign {
     pub(crate) func: Arc<Function>,
     pub(crate) cfg: PragmaConfig,
     pub(crate) inner: Vec<Arc<PreparedInner>>,
+    pub(crate) condensed: Arc<CondensedSlot>,
 }
 
 impl PreparedDesign {
@@ -358,9 +363,10 @@ impl PreparedDesign {
 
     /// Stable FNV-1a digest over every byte that feeds the back half:
     /// function identity, full pragma configuration and each prepared
-    /// inner loop (graph tensors included). Two designs with equal digests
-    /// predict identically; the differential tests and `qor-bench
-    /// incr_sweep` use this to prove incremental == from-scratch.
+    /// inner loop (graph tensors included); the condensed skeleton is a
+    /// function of the first two. Two designs with equal digests predict
+    /// identically; the differential tests and `qor-bench incr_sweep` use
+    /// this to prove incremental == from-scratch.
     pub fn digest(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = crate::hash::Fnv1aHasher::new();
@@ -481,6 +487,15 @@ pub(crate) fn prepare_one_inner(
         ii: hlsim::analytic_ii(func, cfg, id) as f64,
         outputs: OutputSlot::default(),
     }
+}
+
+/// What one design's back half returns: the prediction, how many inner
+/// regions their output slots answered, and whether it built the
+/// design's condensed skeleton.
+pub(crate) struct DesignForward {
+    pub(crate) qor: Qor,
+    pub(crate) inner_hits: usize,
+    pub(crate) built_skeleton: bool,
 }
 
 // ----------------------------------------------------------------- model
@@ -648,21 +663,27 @@ impl HierarchicalModel {
     /// — no tool flow involved.
     pub fn predict(&self, func: &Function, cfg: &PragmaConfig) -> Qor {
         obs::metrics::counter_add("qor/predictions", 1);
-        let inner = self.prepare_inner(func, cfg);
-        self.forward_design(func, cfg, &inner, None).0
+        let (inner, condensed) = self.prepare_parts(func, cfg);
+        self.forward_design(func, &inner, &condensed, None).qor
     }
 
     /// Builds the weight-independent front half of a prediction: the
-    /// hierarchy split plus every inner loop's subgraph and feature
-    /// annotation.
+    /// hierarchy split, every inner loop's subgraph and feature annotation,
+    /// and the condensed whole-design graph's skeleton.
     ///
     /// The result depends only on the function, the pragma configuration
     /// and the model's `graph_max_nodes` option — never on the weights —
     /// so it can be cached across queries and replayed with
     /// [`HierarchicalModel::predict_prepared`] for a bit-identical result.
     pub fn prepare(&self, func: Arc<Function>, cfg: PragmaConfig) -> PreparedDesign {
-        let inner = self.prepare_inner(&func, &cfg);
-        PreparedDesign { func, cfg, inner }
+        let (inner, condensed) = self.prepare_parts(&func, &cfg);
+        condensed.skeleton(&func);
+        PreparedDesign {
+            func,
+            cfg,
+            inner,
+            condensed,
+        }
     }
 
     /// Stable fingerprint of every option [`HierarchicalModel::prepare`]
@@ -677,27 +698,27 @@ impl HierarchicalModel {
     pub fn prepare_fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = crate::hash::Fnv1aHasher::new();
-        h.write(b"prepare-v1");
+        h.write(b"prepare-v2");
         h.write_u64(self.opts.graph_max_nodes as u64);
         h.finish()
     }
 
     /// Predicts from a prepared front half, paying only the GNN forward
-    /// passes (inner models, condensation, global model).
+    /// passes (inner models, super-node rows, global model).
     ///
     /// Bit-identical to [`HierarchicalModel::predict`] on the same
     /// function/configuration: both run exactly the same graph
     /// construction and floating-point operations in the same order.
     pub fn predict_prepared(&self, prepared: &PreparedDesign) -> Qor {
         obs::metrics::counter_add("qor/predictions", 1);
-        self.forward_design(&prepared.func, &prepared.cfg, &prepared.inner, None)
-            .0
+        self.forward_design(&prepared.func, &prepared.inner, &prepared.condensed, None)
+            .qor
     }
 
     /// As [`HierarchicalModel::predict_prepared`], but each inner region's
     /// outputs are read from its slot when `token` filled it, and written
-    /// there otherwise; returns the prediction and how many regions the
-    /// slots answered.
+    /// there otherwise; the forward also reports how many regions the
+    /// slots answered and whether it built the design's skeleton.
     ///
     /// `token` must identify this model's weights uniquely within the
     /// process (a [`Session`](crate::Session) draws one per session): equal
@@ -707,9 +728,14 @@ impl HierarchicalModel {
         &self,
         prepared: &PreparedDesign,
         token: u64,
-    ) -> (Qor, usize) {
+    ) -> DesignForward {
         obs::metrics::counter_add("qor/predictions", 1);
-        self.forward_design(&prepared.func, &prepared.cfg, &prepared.inner, Some(token))
+        self.forward_design(
+            &prepared.func,
+            &prepared.inner,
+            &prepared.condensed,
+            Some(token),
+        )
     }
 
     /// Predicts the QoR of every inner-hierarchy loop and packages it as
@@ -719,14 +745,73 @@ impl HierarchicalModel {
         func: &Function,
         cfg: &PragmaConfig,
     ) -> BTreeMap<LoopId, SuperFeatures> {
-        self.supers_of(&self.prepare_inner(func, cfg), None).0
+        let hierarchy = split_hierarchy(func, cfg);
+        let inner = self.prepare_inner(func, cfg, &hierarchy);
+        let (supers, _) = self.supers_of(&inner, None);
+        inner.iter().map(|pi| pi.id.clone()).zip(supers).collect()
+    }
+
+    /// The condensed whole-design graph `GNN_g` reads when the design's
+    /// inner regions carry `supers`: node features, edges and graph
+    /// aggregates, written into the design's condensed skeleton.
+    ///
+    /// Equal to condensing with [`cdfg::GraphBuilder::condense`] under this
+    /// model's `graph_max_nodes` and annotating with
+    /// [`crate::graph_to_gnn`] and [`crate::graph_aggregates`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `supers` lacks one of the design's inner regions.
+    pub fn condensed_graph(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+        supers: &BTreeMap<LoopId, SuperFeatures>,
+    ) -> GraphData {
+        let hierarchy = split_hierarchy(func, cfg);
+        let rows: Vec<SuperFeatures> = hierarchy.inner.iter().map(|r| supers[&r.id]).collect();
+        let slot = self.condensed_slot(func, cfg, &hierarchy);
+        slot.graph(func, &rows).0
     }
 
     /// The front half shared by [`HierarchicalModel::predict`] and
-    /// [`HierarchicalModel::prepare`]: subgraph construction + feature
-    /// annotation + the analytic loop constants, all weight-independent.
-    fn prepare_inner(&self, func: &Function, cfg: &PragmaConfig) -> Vec<Arc<PreparedInner>> {
+    /// [`HierarchicalModel::prepare`]: the prepared inner regions and the
+    /// condensed graph's (still unbuilt) skeleton slot.
+    fn prepare_parts(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+    ) -> (Vec<Arc<PreparedInner>>, Arc<CondensedSlot>) {
         let hierarchy = split_hierarchy(func, cfg);
+        let inner = self.prepare_inner(func, cfg, &hierarchy);
+        (inner, Arc::new(self.condensed_slot(func, cfg, &hierarchy)))
+    }
+
+    /// An empty skeleton slot for the design `cfg` splits as `hierarchy`.
+    fn condensed_slot(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+        hierarchy: &Hierarchy,
+    ) -> CondensedSlot {
+        let roots: Vec<LoopId> = hierarchy.inner.iter().map(|r| r.id.clone()).collect();
+        let parts: Vec<_> = (0..func.arrays.len())
+            .map(|a| array_partitions(func, cfg, a))
+            .collect();
+        let spec = CondensedSpec::new(func, self.opts.graph_max_nodes, &roots, &parts, |i| {
+            cfg.loop_pragma(&func.loops()[i].id).unroll
+        });
+        CondensedSlot::new(Arc::new(spec))
+    }
+
+    /// Every inner region's subgraph construction + feature annotation +
+    /// analytic loop constants, all weight-independent.
+    fn prepare_inner(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+        hierarchy: &Hierarchy,
+    ) -> Vec<Arc<PreparedInner>> {
         hierarchy
             .inner
             .iter()
@@ -743,7 +828,8 @@ impl HierarchicalModel {
     }
 
     /// Inner-model forward passes over prepared subgraphs, producing the
-    /// super-node features and the number of regions whose slot answered.
+    /// super-node features in region order and the number of regions
+    /// whose slot answered.
     ///
     /// With a `token`, a region whose slot holds that token's outputs skips
     /// its forward pass, and any other region's outputs are stored under
@@ -753,8 +839,8 @@ impl HierarchicalModel {
         &self,
         inner: &[Arc<PreparedInner>],
         token: Option<u64>,
-    ) -> (BTreeMap<LoopId, SuperFeatures>, usize) {
-        let mut out = BTreeMap::new();
+    ) -> (Vec<SuperFeatures>, usize) {
+        let mut out = Vec::with_capacity(inner.len());
         let mut hits = 0;
         for pi in inner {
             let y = match token {
@@ -774,18 +860,15 @@ impl HierarchicalModel {
                     }
                 }
             };
-            out.insert(
-                pi.id.clone(),
-                SuperFeatures {
-                    latency: expm1(y[1]),
-                    il: expm1(y[0]),
-                    ii: pi.ii,
-                    tc: pi.tc.div_ceil(pi.unroll.max(1)) as f64,
-                    lut: expm1(y[2]),
-                    ff: expm1(y[3]),
-                    dsp: expm1(y[4]),
-                },
-            );
+            out.push(SuperFeatures {
+                latency: expm1(y[1]),
+                il: expm1(y[0]),
+                ii: pi.ii,
+                tc: pi.tc.div_ceil(pi.unroll.max(1)) as f64,
+                lut: expm1(y[2]),
+                ff: expm1(y[3]),
+                dsp: expm1(y[4]),
+            });
         }
         (out, hits)
     }
@@ -810,23 +893,18 @@ impl HierarchicalModel {
     }
 
     /// The weight-dependent back half: inner forwards (through the slots
-    /// under `token`, see [`HierarchicalModel::supers_of`]), condensation
-    /// and the global model; returns the prediction and the slot hits.
+    /// under `token`, see [`HierarchicalModel::supers_of`]), the condensed
+    /// graph's super-node rows and the global model.
     fn forward_design(
         &self,
         func: &Function,
-        cfg: &PragmaConfig,
         inner: &[Arc<PreparedInner>],
+        condensed: &CondensedSlot,
         token: Option<u64>,
-    ) -> (Qor, usize) {
-        let (supers, hits) = self.supers_of(inner, token);
-        let graph = GraphBuilder::new(func, cfg)
-            .options(self.opts.graph_options())
-            .condense(supers)
-            .build();
-        let mut data = graph_to_gnn(&graph);
-        data.g_feats = graph_aggregates(&graph);
-        let batch = Batch::from_graphs(&[&data], true);
+    ) -> DesignForward {
+        let (supers, inner_hits) = self.supers_of(inner, token);
+        let (data, built_skeleton) = condensed.graph(func, &supers);
+        let batch = Batch::from_graph(data, true);
         let mut t = Tape::new();
         let (lat, res) = self.model_g.forward(&self.store_g, &mut t, &batch);
         let resm = t.value(res).clone();
@@ -843,7 +921,11 @@ impl HierarchicalModel {
             ff: expm1(y[2]).round() as u64,
             dsp: expm1(y[3]).round() as u64,
         };
-        (qor, hits)
+        DesignForward {
+            qor,
+            inner_hits,
+            built_skeleton,
+        }
     }
 
     /// The training options this model was built with.
@@ -1010,16 +1092,15 @@ impl HierarchicalModel {
                 if !seen.insert(key) {
                     continue;
                 }
-                let graph = GraphBuilder::new(func, &sample.config)
-                    .options(self.opts.graph_options())
-                    .subgraph(inner.id.clone())
-                    .build();
-                let mut data = graph_to_gnn(&graph);
-                data.g_feats =
-                    loop_level_features(func, &sample.config, &inner.id, inner.pipelined);
-                data.g_feats.extend(graph_aggregates(&graph));
+                let prepared = prepare_one_inner(
+                    func,
+                    &sample.config,
+                    &inner.id,
+                    inner.pipelined,
+                    self.opts.graph_options(),
+                );
                 let s = InnerSample {
-                    graph: data,
+                    graph: prepared.data,
                     y: [
                         log1p(lq.il as f64),
                         log1p(lq.qor.latency as f64),
@@ -1047,15 +1128,11 @@ impl HierarchicalModel {
         // so the condensation sweep fans out
         par::try_map("core/global_samples", subset, |_, sample| {
             let func = designs.function_of(sample)?;
-            let supers = self.predict_supers(func, &sample.config);
-            let graph = GraphBuilder::new(func, &sample.config)
-                .options(self.opts.graph_options())
-                .condense(supers)
-                .build();
-            let mut data = graph_to_gnn(&graph);
-            data.g_feats = graph_aggregates(&graph);
+            let (inner, condensed) = self.prepare_parts(func, &sample.config);
+            let (supers, _) = self.supers_of(&inner, None);
+            let (graph, _) = condensed.graph(func, &supers);
             Ok(GlobalSample {
-                graph: data,
+                graph,
                 y: [
                     log1p(sample.report.top.latency as f64),
                     log1p(sample.report.top.lut as f64),

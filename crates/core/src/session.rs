@@ -115,6 +115,9 @@ pub struct CacheStats {
     pub inner_hits: u64,
     /// Inner-region forward passes run (and stored in the region's slot).
     pub inner_misses: u64,
+    /// Condensed-graph skeletons built (one per distinct condensed
+    /// structure while its slot stays memoized).
+    pub skeleton_builds: u64,
 }
 
 impl CacheStats {
@@ -258,6 +261,7 @@ pub struct SharedCache {
     kernel_misses: AtomicU64,
     inner_hits: AtomicU64,
     inner_misses: AtomicU64,
+    skeleton_builds: AtomicU64,
     /// Cumulative per-kind query counters; they outlive evicted kernels.
     queries: Mutex<BTreeMap<&'static str, KindStats>>,
 }
@@ -304,6 +308,7 @@ impl SharedCache {
             kernel_misses: AtomicU64::new(0),
             inner_hits: AtomicU64::new(0),
             inner_misses: AtomicU64::new(0),
+            skeleton_builds: AtomicU64::new(0),
             queries: Mutex::new(BTreeMap::new()),
         }
     }
@@ -328,6 +333,7 @@ impl SharedCache {
             incr_recomputes: incr.recomputes,
             inner_hits: self.inner_hits.load(Ordering::Relaxed),
             inner_misses: self.inner_misses.load(Ordering::Relaxed),
+            skeleton_builds: self.skeleton_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -548,14 +554,19 @@ impl Session {
     ) -> Result<PredictReport, QorError> {
         let (prepared, mut report) = self.front_half(top, source, cfg)?;
         let t = Instant::now();
-        let (qor, hits) = self.model.predict_prepared_memo(&prepared, self.token);
-        report.qor = qor;
+        let forward = self.model.predict_prepared_memo(&prepared, self.token);
+        report.qor = forward.qor;
         report.infer_us = t.elapsed().as_micros() as u64;
-        let (hits, misses) = (hits as u64, (prepared.num_inner() - hits) as u64);
+        let hits = forward.inner_hits as u64;
+        let misses = prepared.num_inner() as u64 - hits;
         self.cache.inner_hits.fetch_add(hits, Ordering::Relaxed);
         self.cache.inner_misses.fetch_add(misses, Ordering::Relaxed);
         obs::metrics::counter_add("session/inner/hits", hits);
         obs::metrics::counter_add("session/inner/misses", misses);
+        if forward.built_skeleton {
+            self.cache.skeleton_builds.fetch_add(1, Ordering::Relaxed);
+            obs::metrics::counter_add("session/skeleton/builds", 1);
+        }
         if obs::log::enabled(Level::Debug) {
             obs::log::event(
                 Level::Debug,

@@ -217,14 +217,9 @@ impl Conv {
         match self {
             Conv::Gcn { lin } => {
                 let xw = lin.forward(store, t, x);
-                let coef = t.leaf(batch.gcn_coef.clone());
-                t.gather_scatter(
-                    xw,
-                    Arc::clone(&batch.gcn_src),
-                    coef,
-                    Arc::clone(&batch.gcn_dst),
-                    n,
-                )
+                let gcn = batch.gcn();
+                let coef = t.leaf(gcn.coef.clone());
+                t.gather_scatter(xw, Arc::clone(&gcn.src), coef, Arc::clone(&gcn.dst), n)
             }
             Conv::Sage {
                 self_lin,

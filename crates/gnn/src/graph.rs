@@ -1,6 +1,6 @@
 //! Graph containers and mini-batch collation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tensor::Matrix;
 
@@ -81,9 +81,9 @@ impl GraphData {
 /// A collated mini-batch of graphs forming one block-diagonal super-graph.
 ///
 /// Construction offsets node indices, optionally mirrors edges (so directed
-/// CDFGs propagate information both ways), and precomputes the per-edge GCN
-/// normalization coefficients and per-node in-degrees used by the
-/// convolution layers.
+/// CDFGs propagate information both ways) and counts per-node in-degrees.
+/// The GCN view of the edges ([`Batch::gcn`]) is built on first use, so
+/// batches that never meet a GCN layer never pay for it.
 #[derive(Debug, Clone)]
 pub struct Batch {
     /// Stacked node features, `total_nodes x feat_dim`.
@@ -98,14 +98,34 @@ pub struct Batch {
     pub n_graphs: usize,
     /// In-degree (message count) per node, excluding self-loops.
     pub in_deg: Vec<f32>,
-    /// GCN edge list including self-loops.
-    pub gcn_src: Arc<Vec<u32>>,
-    /// GCN edge destinations including self-loops.
-    pub gcn_dst: Arc<Vec<u32>>,
-    /// Symmetric normalization coefficient per GCN edge.
-    pub gcn_coef: Matrix,
     /// Stacked graph-level features, `n_graphs x g_feat_dim` (may be `n x 0`).
     pub g_feats: Matrix,
+    gcn: OnceLock<GcnEdges>,
+}
+
+/// The edges a GCN layer propagates over: every batch edge plus one
+/// self-loop per node, each with its symmetric normalization coefficient.
+#[derive(Debug, Clone)]
+pub struct GcnEdges {
+    /// Edge sources, self-loops last.
+    pub src: Arc<Vec<u32>>,
+    /// Edge destinations, self-loops last.
+    pub dst: Arc<Vec<u32>>,
+    /// `1 / sqrt(d_src * d_dst)` per edge, degrees counting the self-loop.
+    pub coef: Matrix,
+}
+
+/// Appends `g`'s edges, shifted by `offset`, and their mirrors when
+/// `mirror` is set (a self-loop is never mirrored).
+fn push_edges(src: &mut Vec<u32>, dst: &mut Vec<u32>, g: &GraphData, offset: u32, mirror: bool) {
+    for (&s, &d) in g.src.iter().zip(&g.dst) {
+        src.push(s + offset);
+        dst.push(d + offset);
+        if mirror && s != d {
+            src.push(d + offset);
+            dst.push(s + offset);
+        }
+    }
 }
 
 impl Batch {
@@ -142,56 +162,79 @@ impl Batch {
                 x.row_mut(offset as usize + r).copy_from_slice(g.x.row(r));
                 graph_of_node.push(gi as u32);
             }
-            for (&s, &d) in g.src.iter().zip(&g.dst) {
-                src.push(s + offset);
-                dst.push(d + offset);
-                if mirror && s != d {
-                    src.push(d + offset);
-                    dst.push(s + offset);
-                }
-            }
+            push_edges(&mut src, &mut dst, g, offset, mirror);
             for (j, &v) in g.g_feats.iter().enumerate() {
                 g_feats[(gi, j)] = v;
             }
             offset += g.num_nodes() as u32;
         }
+        Self::assemble(x, src, dst, graph_of_node, graphs.len(), g_feats)
+    }
 
-        let mut in_deg = vec![0.0f32; total_nodes];
+    /// A batch of one graph, taking its feature matrix instead of copying
+    /// it; equal to `Batch::from_graphs(&[&graph], mirror)`.
+    pub fn from_graph(graph: GraphData, mirror: bool) -> Self {
+        let mut src = Vec::new();
+        let mut dst = Vec::new();
+        push_edges(&mut src, &mut dst, &graph, 0, mirror);
+        let n = graph.num_nodes();
+        let g_feats = Matrix::from_vec(1, graph.g_feats.len(), graph.g_feats);
+        Self::assemble(graph.x, src, dst, vec![0; n], 1, g_feats)
+    }
+
+    fn assemble(
+        x: Matrix,
+        src: Vec<u32>,
+        dst: Vec<u32>,
+        graph_of_node: Vec<u32>,
+        n_graphs: usize,
+        g_feats: Matrix,
+    ) -> Self {
+        let mut in_deg = vec![0.0f32; x.rows()];
         for &d in &dst {
             in_deg[d as usize] += 1.0;
         }
-
-        // GCN: add self-loops, symmetric normalization 1/sqrt(d_i * d_j)
-        // where degrees count the self-loop.
-        let mut gcn_src = src.clone();
-        let mut gcn_dst = dst.clone();
-        for i in 0..total_nodes as u32 {
-            gcn_src.push(i);
-            gcn_dst.push(i);
-        }
-        let mut deg_loop = vec![1.0f32; total_nodes];
-        for &d in &dst {
-            deg_loop[d as usize] += 1.0;
-        }
-        let mut coef = Matrix::zeros(gcn_src.len(), 1);
-        for e in 0..gcn_src.len() {
-            let ds = deg_loop[gcn_src[e] as usize];
-            let dd = deg_loop[gcn_dst[e] as usize];
-            coef[(e, 0)] = 1.0 / (ds * dd).sqrt();
-        }
-
         Batch {
             x,
             src: Arc::new(src),
             dst: Arc::new(dst),
             graph_of_node: Arc::new(graph_of_node),
-            n_graphs: graphs.len(),
+            n_graphs,
             in_deg,
-            gcn_src: Arc::new(gcn_src),
-            gcn_dst: Arc::new(gcn_dst),
-            gcn_coef: coef,
             g_feats,
+            gcn: OnceLock::new(),
         }
+    }
+
+    /// The GCN edge list with self-loops and normalization coefficients,
+    /// built on the first call.
+    pub fn gcn(&self) -> &GcnEdges {
+        self.gcn.get_or_init(|| {
+            // self-loops added, symmetric normalization 1/sqrt(d_i * d_j)
+            // where degrees count the self-loop
+            let total_nodes = self.num_nodes();
+            let mut src = self.src.as_ref().clone();
+            let mut dst = self.dst.as_ref().clone();
+            for i in 0..total_nodes as u32 {
+                src.push(i);
+                dst.push(i);
+            }
+            let mut deg_loop = vec![1.0f32; total_nodes];
+            for &d in self.dst.iter() {
+                deg_loop[d as usize] += 1.0;
+            }
+            let mut coef = Matrix::zeros(src.len(), 1);
+            for e in 0..src.len() {
+                let ds = deg_loop[src[e] as usize];
+                let dd = deg_loop[dst[e] as usize];
+                coef[(e, 0)] = 1.0 / (ds * dd).sqrt();
+            }
+            GcnEdges {
+                src: Arc::new(src),
+                dst: Arc::new(dst),
+                coef,
+            }
+        })
     }
 
     /// Total nodes in the batch.
@@ -242,10 +285,25 @@ mod tests {
     fn gcn_self_loops_present() {
         let a = toy(2, &[(0, 1)]);
         let batch = Batch::from_graphs(&[&a], false);
-        assert_eq!(batch.gcn_src.len(), 1 + 2);
+        assert_eq!(batch.gcn().src.len(), 1 + 2);
         // isolated-ish node 0 has degree 1 (self loop only)
-        let coef_self_0 = batch.gcn_coef[(1, 0)];
+        let coef_self_0 = batch.gcn().coef[(1, 0)];
         assert!((coef_self_0 - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn owned_single_graph_batch_equals_collated() {
+        let mut a = toy(4, &[(0, 1), (1, 2), (2, 2), (3, 0)]);
+        a.g_feats = vec![5.0, 6.0];
+        let collated = Batch::from_graphs(&[&a], true);
+        let owned = Batch::from_graph(a, true);
+        assert_eq!(owned.x, collated.x);
+        assert_eq!(owned.src, collated.src);
+        assert_eq!(owned.dst, collated.dst);
+        assert_eq!(owned.graph_of_node, collated.graph_of_node);
+        assert_eq!(owned.in_deg, collated.in_deg);
+        assert_eq!(owned.g_feats, collated.g_feats);
+        assert_eq!(owned.gcn().coef, collated.gcn().coef);
     }
 
     #[test]

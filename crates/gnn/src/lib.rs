@@ -37,7 +37,7 @@ mod norm;
 mod trainer;
 
 pub use convs::{ConvKind, Encoder, EncoderConfig};
-pub use graph::{Batch, GraphData};
+pub use graph::{Batch, GcnEdges, GraphData};
 pub use layers::{Linear, Mlp};
 pub use metrics::{mape, r_squared, rmse};
 pub use norm::Normalizer;

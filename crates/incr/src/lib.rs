@@ -39,6 +39,14 @@
 //!   `(dep key, dep value fingerprint)` trace identifies the execution:
 //!   matching fingerprints imply (modulo 64-bit collision) a matching
 //!   result.
+//! * **Conditional reads.** A query whose read set depends on what it has
+//!   read so far executes with different dependency lists in different
+//!   revisions, and a probe with the current memo's list cannot match a
+//!   version recorded under another list. Once a key has executed with
+//!   more than one list, the database remembers its distinct lists (at
+//!   most [`SHAPES_PER_KEY`], the most recent) and probes the version
+//!   cache with each in turn. Queries with a fixed read set never pay for
+//!   this.
 //!
 //! # Determinism
 //!
@@ -178,6 +186,10 @@ struct Version<K, V> {
     deps: Vec<K>,
 }
 
+/// Distinct dependency lists remembered per key for version-cache probes
+/// (see the crate docs on conditional reads).
+pub const SHAPES_PER_KEY: usize = 16;
+
 /// The incremental query database.
 ///
 /// Generic over the host's key and value types; the host supplies the
@@ -190,6 +202,9 @@ pub struct QueryDb<K: Key, V: Value> {
     versions: HashMap<(K, u64), Version<K, V>, FnvBuildHasher>,
     version_order: VecDeque<(K, u64)>,
     version_cap: usize,
+    /// Per key that has executed with more than one dependency list: its
+    /// distinct lists, oldest first, at most [`SHAPES_PER_KEY`].
+    shapes: HashMap<K, VecDeque<Vec<K>>, FnvBuildHasher>,
     /// Keys currently executing (cycle detection + dependency recording).
     stack: Vec<(K, Vec<K>)>,
     stats: BTreeMap<&'static str, KindStats>,
@@ -206,6 +221,7 @@ impl<K: Key, V: Value> QueryDb<K, V> {
             versions: HashMap::default(),
             version_order: VecDeque::new(),
             version_cap,
+            shapes: HashMap::default(),
             stack: Vec::new(),
             stats: BTreeMap::new(),
         }
@@ -347,12 +363,10 @@ impl<K: Key, V: Value> QueryDb<K, V> {
                 return value;
             }
             // Red: before executing, evaluate the old dependency trace
-            // under the current inputs and probe the version cache.
+            // (and any other list the key has executed with) under the
+            // current inputs and probe the version cache.
             if self.version_cap > 0 {
-                let trace_fp = self.trace_fingerprint(&deps, exec);
-                if let Some(version) = self.versions.get(&(key.clone(), trace_fp)) {
-                    let value = version.value.clone();
-                    let vdeps = version.deps.clone();
+                if let Some((value, vdeps)) = self.probe_versions(key, &deps, exec) {
                     self.install(key, value.clone(), vdeps, None);
                     self.bump(key.kind(), |s| {
                         s.hits += 1;
@@ -367,6 +381,13 @@ impl<K: Key, V: Value> QueryDb<K, V> {
         let value = exec(self, key);
         let (_, deps) = self.stack.pop().expect("incr: stack underflow");
         let first = !self.memos.contains_key(key);
+        if self.version_cap > 0 && !first {
+            let old = &self.memos[key].deps;
+            if *old != deps || self.shapes.contains_key(key) {
+                let old = old.clone();
+                self.remember_shape(key, &old, &deps);
+            }
+        }
         let trace_fp = self.trace_fingerprint(&deps, exec);
         self.install(key, value.clone(), deps, Some(trace_fp));
         self.bump(key.kind(), |s| {
@@ -394,6 +415,60 @@ impl<K: Key, V: Value> QueryDb<K, V> {
         match self.memos.get(dep) {
             Some(memo) => memo.changed_at > since,
             None => true,
+        }
+    }
+
+    /// A version of `key` whose dependency trace matches the current
+    /// inputs: probed with `deps` (the current memo's list), then with each
+    /// other list the key has executed with.
+    fn probe_versions<F>(&mut self, key: &K, deps: &[K], exec: &F) -> Option<(V, Vec<K>)>
+    where
+        F: Fn(&mut Self, &K) -> V,
+    {
+        let found = self.probe_with(key, deps, exec);
+        if found.is_some() {
+            return found;
+        }
+        // out of the map while probing: a trace evaluation never reads
+        // `key`'s own shapes (that would be a cycle)
+        let shapes = self.shapes.remove(key)?;
+        let found = shapes
+            .iter()
+            .rev()
+            .filter(|list| list.as_slice() != deps)
+            .find_map(|list| self.probe_with(key, list, exec));
+        self.shapes.insert(key.clone(), shapes);
+        found
+    }
+
+    /// The version of `key` recorded under dependency list `deps`, if the
+    /// list reads the same values now as it did then.
+    fn probe_with<F>(&mut self, key: &K, deps: &[K], exec: &F) -> Option<(V, Vec<K>)>
+    where
+        F: Fn(&mut Self, &K) -> V,
+    {
+        let trace_fp = self.trace_fingerprint(deps, exec);
+        let version = self.versions.get(&(key.clone(), trace_fp))?;
+        Some((version.value.clone(), version.deps.clone()))
+    }
+
+    /// Records that `key` executed with `deps`; a key is tracked once its
+    /// list differs from its previous memo's `old`.
+    fn remember_shape(&mut self, key: &K, old: &[K], deps: &[K]) {
+        if !self.shapes.contains_key(key) {
+            if old == deps {
+                return;
+            }
+            self.shapes
+                .insert(key.clone(), VecDeque::from([old.to_vec()]));
+        }
+        let shapes = self.shapes.get_mut(key).expect("inserted above");
+        if shapes.iter().any(|s| s == deps) {
+            return;
+        }
+        shapes.push_back(deps.to_vec());
+        if shapes.len() > SHAPES_PER_KEY {
+            shapes.pop_front();
         }
     }
 
@@ -622,6 +697,53 @@ mod tests {
         assert!(host.ran().is_empty(), "A->B->A must be answered from cache");
         let parity = db.stats().iter().find(|(k, _)| *k == "parity").unwrap().1;
         assert!(parity.reused >= 1);
+    }
+
+    #[test]
+    fn version_cache_reuses_across_changing_read_sets() {
+        // `Pick` reads In(0) and then In(1) only when In(0) is odd, so
+        // its dependency list differs between the two configurations
+        #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+        enum P {
+            In(u32),
+            Pick,
+        }
+        impl Key for P {
+            fn kind(&self) -> &'static str {
+                match self {
+                    P::In(_) => "in",
+                    P::Pick => "pick",
+                }
+            }
+            fn fingerprint(&self) -> u64 {
+                match self {
+                    P::In(i) => u64::from(*i),
+                    P::Pick => u64::MAX,
+                }
+            }
+        }
+        let runs = RefCell::new(0);
+        let exec = |db: &mut QueryDb<P, V>, _: &P| {
+            *runs.borrow_mut() += 1;
+            let none = |_: &mut QueryDb<P, V>, _: &P| -> V { unreachable!() };
+            let a = db.get(&P::In(0), &none).0;
+            if a % 2 == 1 {
+                V(a + db.get(&P::In(1), &none).0)
+            } else {
+                V(a)
+            }
+        };
+        let mut db = QueryDb::new(16);
+        db.set_input(P::In(1), V(10));
+        for (round, a) in [1, 2, 1, 2, 3].into_iter().enumerate() {
+            db.set_input(P::In(0), V(a));
+            let want = if a % 2 == 1 { a + 10 } else { a };
+            assert_eq!(db.get(&P::Pick, &exec).0, want, "round {round}");
+        }
+        // 1 and 2 execute once each; their revisits are reused; 3 is new
+        assert_eq!(*runs.borrow(), 3);
+        let pick = db.stats().iter().find(|(k, _)| *k == "pick").unwrap().1;
+        assert_eq!((pick.misses, pick.recomputes, pick.reused), (1, 2, 2));
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! computes outside its cache lock). The batcher turns that traffic into
 //! micro-batches:
 //!
-//! 1. Connection threads decode their requests and *submit* work items to
-//!    one dispatcher thread over an MPSC channel, then block on a private
-//!    response channel.
-//! 2. The dispatcher collects items until either **`max_batch`** items are
+//! 1. Connection threads decode their requests and *submit* each request
+//!    body's work items to one dispatcher thread as one message over an
+//!    MPSC channel, then block on a private response channel.
+//! 2. The dispatcher collects bodies until either **`max_batch`** items are
 //!    pending or **`max_wait`** has elapsed since the first item of the
-//!    flush — whichever comes first — then flushes.
+//!    flush — whichever comes first — then flushes. A body never splits
+//!    across flushes unless it alone holds more than `max_batch` items: one
+//!    that does not fit the pending flush starts the next one.
 //! 3. A flush groups items by requested model, resolves each model name
 //!    **once per group** (so a hot-reload can never split one batch across
 //!    generations — mixed-version batches are impossible by construction),
@@ -157,7 +159,8 @@ struct WorkItem {
 pub struct BatcherStats {
     /// Flushes executed (each may span several model groups).
     pub batches: u64,
-    /// Flushes triggered by reaching `max_batch`.
+    /// Flushes triggered by reaching `max_batch` (or by a body that would
+    /// not fit under it).
     pub flush_full: u64,
     /// Flushes triggered by the `max_wait` deadline.
     pub flush_timeout: u64,
@@ -184,21 +187,22 @@ struct Shared {
 /// thread; dropping the batcher (or calling [`Batcher::shutdown`]) drains
 /// pending work and stops it.
 pub struct Batcher {
-    tx: Option<SyncSender<WorkItem>>,
+    tx: Option<SyncSender<Vec<WorkItem>>>,
     opts: BatchOptions,
     shared: Arc<Shared>,
     dispatcher: Option<JoinHandle<()>>,
 }
 
-/// Channel depth between connection threads and the dispatcher. Deep
-/// enough that submission almost never blocks; bounded so a stalled
-/// dispatcher applies backpressure instead of unbounded queue growth.
+/// Channel depth (request bodies) between connection threads and the
+/// dispatcher. Deep enough that submission almost never blocks; bounded so
+/// a stalled dispatcher applies backpressure instead of unbounded queue
+/// growth.
 const QUEUE_DEPTH: usize = 1024;
 
 impl Batcher {
     /// Starts the dispatcher thread over `registry`.
     pub fn new(registry: Arc<ModelRegistry>, opts: BatchOptions) -> Batcher {
-        let (tx, rx) = mpsc::sync_channel::<WorkItem>(QUEUE_DEPTH);
+        let (tx, rx) = mpsc::sync_channel::<Vec<WorkItem>>(QUEUE_DEPTH);
         let shared = Arc::new(Shared {
             registry,
             batch_seq: AtomicU64::new(1),
@@ -243,14 +247,18 @@ impl Batcher {
     }
 
     /// Submits `items` and blocks until every one has an outcome, returned
-    /// in submission order. Items may land in different flushes; each
-    /// outcome names the batch that served it.
+    /// in submission order. The items travel to the dispatcher together and
+    /// share one flush unless there are more than `max_batch` of them;
+    /// each outcome names the batch that served it.
     ///
     /// Never returns fewer outcomes than items: if the dispatcher is gone
     /// (shutdown race), the missing entries are filled with
     /// [`ApiCode::Internal`] errors.
     pub fn submit_wait(&self, items: Vec<PredictItem>) -> Vec<ItemOutcome> {
         let n = items.len();
+        if n == 0 {
+            return Vec::new();
+        }
         let unavailable = |msg: &str| ItemOutcome {
             result: Err(ApiError::new(ApiCode::Internal, msg)),
             model: String::new(),
@@ -263,19 +271,18 @@ impl Batcher {
             return vec![unavailable("batcher is shut down"); n];
         };
         let (respond, outcomes) = mpsc::sync_channel::<(usize, ItemOutcome)>(n.max(1));
-        let mut submitted = 0usize;
-        for (index, item) in items.into_iter().enumerate() {
-            let work = WorkItem {
+        let body: Vec<WorkItem> = items
+            .into_iter()
+            .enumerate()
+            .map(|(index, item)| WorkItem {
                 item,
                 index,
                 respond: respond.clone(),
-            };
-            if tx.send(work).is_err() {
-                break; // dispatcher gone; the tail stays unanswered
-            }
-            submitted += 1;
-        }
+            })
+            .collect();
         drop(respond);
+        // dispatcher gone: every item stays unanswered
+        let submitted = if tx.send(body).is_ok() { n } else { 0 };
         let mut out: Vec<Option<ItemOutcome>> = (0..n).map(|_| None).collect();
         for _ in 0..submitted {
             match outcomes.recv() {
@@ -304,18 +311,25 @@ impl Drop for Batcher {
     }
 }
 
-/// The dispatcher: block for the first item, then collect until the flush
-/// fills or its deadline passes, then execute. Exits when every sender is
-/// gone and the queue is drained.
-fn dispatch_loop(rx: &mpsc::Receiver<WorkItem>, shared: &Shared, opts: BatchOptions) {
+/// The dispatcher: block for the first body, then collect bodies until the
+/// flush fills or its deadline passes, then execute. A body that would
+/// overflow the flush is carried over to start the next one. Exits when
+/// every sender is gone and the queue is drained: a receiver hands out
+/// queued bodies before it reports the disconnect.
+fn dispatch_loop(rx: &mpsc::Receiver<Vec<WorkItem>>, shared: &Shared, opts: BatchOptions) {
+    let mut carried: Option<Vec<WorkItem>> = None;
     loop {
-        let first = match rx.recv() {
-            Ok(work) => work,
+        let mut batch = match carried.take().map_or_else(|| rx.recv(), Ok) {
+            Ok(body) => body,
             Err(_) => return, // all senders dropped, queue drained
         };
+        // a body larger than a flush splits by size
+        while batch.len() > opts.max_batch {
+            let rest = batch.split_off(opts.max_batch);
+            shared.flush_full.fetch_add(1, Ordering::Relaxed);
+            execute_flush(shared, std::mem::replace(&mut batch, rest));
+        }
         let deadline = Instant::now() + opts.max_wait;
-        let mut batch = vec![first];
-        let mut disconnected = false;
         let mut timed_out = false;
         while batch.len() < opts.max_batch {
             let now = Instant::now();
@@ -324,31 +338,26 @@ fn dispatch_loop(rx: &mpsc::Receiver<WorkItem>, shared: &Shared, opts: BatchOpti
                 break;
             }
             match rx.recv_timeout(deadline - now) {
-                Ok(work) => batch.push(work),
+                Ok(body) if batch.len() + body.len() > opts.max_batch => {
+                    carried = Some(body);
+                    break;
+                }
+                Ok(body) => batch.extend(body),
                 Err(RecvTimeoutError::Timeout) => {
                     timed_out = true;
                     break;
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         if timed_out {
             shared.flush_timeout.fetch_add(1, Ordering::Relaxed);
         } else {
-            // filled to max_batch (or the tail flush at disconnect)
+            // filled to max_batch, or the next body did not fit (or the
+            // tail flush at disconnect)
             shared.flush_full.fetch_add(1, Ordering::Relaxed);
         }
         execute_flush(shared, batch);
-        if disconnected {
-            // serve whatever was still queued at disconnect, then exit
-            while let Ok(work) = rx.try_recv() {
-                execute_flush(shared, vec![work]);
-            }
-            return;
-        }
     }
 }
 
@@ -541,6 +550,51 @@ mod tests {
         let stats = batcher.stats();
         assert_eq!(stats.flush_full, 1, "{stats:?}");
         assert_eq!(stats.items, 3);
+    }
+
+    #[test]
+    fn a_deadline_flush_never_splits_a_body() {
+        // a zero deadline expires before any second message could arrive,
+        // so a body sent item by item would land in several flushes
+        let batcher = Batcher::new(
+            registry(),
+            BatchOptions {
+                max_batch: 64,
+                max_wait: Duration::ZERO,
+            },
+        );
+        for _ in 0..20 {
+            let out = batcher.submit_wait(vec![
+                item("gemm", false),
+                item("mvt", false),
+                item("gemm", false),
+            ]);
+            assert!(out.iter().all(|o| o.batch_id == out[0].batch_id));
+            assert!(out.iter().all(|o| o.batch_size == 3));
+            assert!(out[0].deduped && out[2].deduped && !out[1].deduped);
+        }
+    }
+
+    #[test]
+    fn an_oversized_body_splits_by_size() {
+        let batcher = Batcher::new(
+            registry(),
+            BatchOptions {
+                max_batch: 2,
+                max_wait: Duration::from_millis(5),
+            },
+        );
+        let kernels = ["gemm", "mvt", "bicg", "gemm", "mvt"];
+        let out = batcher.submit_wait(kernels.iter().map(|k| item(k, false)).collect());
+        let sizes: Vec<usize> = out.iter().map(|o| o.batch_size).collect();
+        assert_eq!(sizes, [2, 2, 2, 2, 1]);
+        for (i, o) in out.iter().enumerate() {
+            assert!(o.result.is_ok(), "item {i}");
+        }
+        let stats = batcher.stats();
+        assert_eq!((stats.flush_full, stats.flush_timeout), (2, 1), "{stats:?}");
+        assert!(batcher.submit_wait(Vec::new()).is_empty());
+        assert_eq!(batcher.stats().batches, 3);
     }
 
     #[test]
