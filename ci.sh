@@ -82,27 +82,6 @@ if [ "${QOR_FUZZ_LONG:-0}" = "1" ]; then
     ./target/release/qor-fuzz --long --seed 100000 --out /dev/null
 fi
 
-# Fleet gate: a coordinator and two in-process HTTP workers run a fleet
-# search job end to end — front byte-identical to the single-process run,
-# worker-kill eviction, typed 503 on an empty roster — and the digest
-# file (ledger FNV + front + spent) must be byte-identical across thread
-# counts. The multi-process variant (real worker processes, kill + resume
-# from .qorjob) runs in the test suite above (serve/tests/fleet_multiprocess.rs).
-echo "==> qor-serve --fleet-self-test determinism"
-QOR_THREADS=1 ./target/release/qor-serve --fleet-self-test --out /tmp/qor_fleet1.json
-QOR_THREADS=4 ./target/release/qor-serve --fleet-self-test --out /tmp/qor_fleet4.json
-cmp /tmp/qor_fleet1.json /tmp/qor_fleet4.json
-rm -f /tmp/qor_fleet1.json /tmp/qor_fleet4.json
-
-# Fleet scaling determinism: the smoke run spins the full 1/2/4-worker
-# HTTP ladder and aborts on any ledger-digest divergence; the appended
-# trajectory (timings nulled) must be byte-identical across thread counts.
-echo "==> qor-bench fleet_scaling --smoke determinism"
-QOR_THREADS=1 ./target/release/qor-bench fleet_scaling --smoke --out /tmp/qor_fleetb1.json >/dev/null
-QOR_THREADS=4 ./target/release/qor-bench fleet_scaling --smoke --out /tmp/qor_fleetb4.json >/dev/null
-cmp /tmp/qor_fleetb1.json /tmp/qor_fleetb4.json
-rm -f /tmp/qor_fleetb1.json /tmp/qor_fleetb4.json
-
 # Search smoke gate: budget accounting, snapshot determinism, mid-run
 # resume, and corruption typing — on both executor paths, because the
 # engine fans evaluation batches through `par`.

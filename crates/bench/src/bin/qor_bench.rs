@@ -30,11 +30,6 @@
 //! engine on pragma-neighbor sweeps (see [`qor_bench::incr_sweep`]):
 //! `qor-bench incr_sweep [--steps N] [--breadth N] [--kernels N]
 //! [--smoke] [--out FILE]`, appending to `BENCH_incr.json`.
-//!
-//! The `fleet_scaling` subcommand measures distributed-DSE throughput at
-//! 1/2/4 HTTP workers (see [`qor_bench::fleet_scaling`]): `qor-bench
-//! fleet_scaling [--kernel NAME] [--budget N] [--batch N] [--hidden N]
-//! [--smoke] [--out FILE]`, appending to `BENCH_fleet.json`.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -270,10 +265,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("incr_sweep") {
         let code = qor_bench::incr_sweep::run(&argv[1..])?;
-        std::process::exit(code);
-    }
-    if argv.first().map(String::as_str) == Some("fleet_scaling") {
-        let code = qor_bench::fleet_scaling::run(&argv[1..])?;
         std::process::exit(code);
     }
     let args = parse_args();

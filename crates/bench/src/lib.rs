@@ -7,7 +7,6 @@
 
 use qor_core::TrainOptions;
 
-pub mod fleet_scaling;
 pub mod fuzz;
 pub mod incr_sweep;
 pub mod trajectory;

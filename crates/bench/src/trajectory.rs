@@ -29,10 +29,6 @@ pub const SERVE_SCHEMA: &str = "qor-bench-serve/v2";
 /// (`warm_us`, `speedup_vs_warm`).
 pub const INCR_SCHEMA: &str = "qor-bench-incr/v2";
 
-/// Schema tag for the fleet-scaling trajectory document
-/// (`BENCH_fleet.json`).
-pub const FLEET_SCHEMA: &str = "qor-bench-fleet/v1";
-
 /// Appends `entry` to the trajectory document at `path`, creating the
 /// document as needed.
 /// Returns the number of entries the document now holds.

@@ -28,9 +28,6 @@ pub enum QorError {
     /// A persisted artifact was written by a format version this build does
     /// not understand.
     UnsupportedVersion(u32),
-    /// A distributed-search dispatch failure: no live workers, or a work
-    /// unit exhausted its retry budget across the fleet.
-    Fleet(String),
 }
 
 impl fmt::Display for QorError {
@@ -46,7 +43,6 @@ impl fmt::Display for QorError {
             QorError::UnsupportedVersion(v) => {
                 write!(f, "unsupported checkpoint format version {v}")
             }
-            QorError::Fleet(msg) => write!(f, "fleet: {msg}"),
         }
     }
 }

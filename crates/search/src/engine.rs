@@ -37,47 +37,6 @@ pub trait Evaluate: Sync {
     fn evaluate(&self, cfg: &PragmaConfig) -> Result<(f64, f64), QorError>;
 }
 
-/// Scores a whole batch of fresh candidates at once.
-///
-/// This is the seam the distributed fleet plugs into: a dispatcher shards
-/// `batch` into work units, sends them to workers, and returns the scores
-/// *in candidate order* — the engine's merge is therefore independent of
-/// reply order. Every [`Evaluate`] is a `BatchEvaluate` via the blanket
-/// impl, which runs the batch through [`par::try_map`] exactly as the
-/// single-process engine always has, so both paths score candidate `i`
-/// identically and the determinism contract is preserved.
-pub trait BatchEvaluate: Sync {
-    /// Scores `batch`, returning one `(latency, area)` per candidate in
-    /// the same order.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific evaluation failures.
-    fn evaluate_batch(&self, batch: &[(Genome, PragmaConfig)])
-        -> Result<Vec<(f64, f64)>, QorError>;
-
-    /// Live evaluator-side progress (e.g. fleet worker/unit counters) for
-    /// job status surfaces; `None` for plain in-process evaluators.
-    fn detail(&self) -> Option<obs::Json> {
-        None
-    }
-
-    /// Evaluator state to persist into the job snapshot (the fleet
-    /// dispatcher returns its assignment record); `None` otherwise.
-    fn assignment(&self) -> Option<crate::job::FleetAssignment> {
-        None
-    }
-}
-
-impl<T: Evaluate + ?Sized> BatchEvaluate for T {
-    fn evaluate_batch(
-        &self,
-        batch: &[(Genome, PragmaConfig)],
-    ) -> Result<Vec<(f64, f64)>, QorError> {
-        par::try_map("search/evaluate", batch, |_, (_, cfg)| self.evaluate(cfg))
-    }
-}
-
 /// Scores candidates with the cached GNN predictor.
 pub struct SessionEval {
     session: Arc<Session>,
@@ -225,7 +184,6 @@ pub struct SearchRun {
     pub(crate) evaluated: Vec<EvalRecord>,
     pub(crate) index: HashMap<u64, usize, FnvBuildHasher>,
     pub(crate) front: ParetoAccumulator,
-    pub(crate) fleet: Option<crate::job::FleetAssignment>,
 }
 
 impl std::fmt::Debug for SearchRun {
@@ -259,7 +217,6 @@ impl SearchRun {
             evaluated: Vec::new(),
             index: HashMap::default(),
             front: ParetoAccumulator::new(),
-            fleet: None,
         })
     }
 
@@ -293,42 +250,19 @@ impl SearchRun {
         &self.evaluated
     }
 
-    /// Fleet assignment state carried by this run (persisted in `.qorjob`
-    /// v2 snapshots), if the run is driven by a fleet dispatcher.
-    pub fn fleet(&self) -> Option<&crate::job::FleetAssignment> {
-        self.fleet.as_ref()
-    }
-
-    /// Attaches (or clears) the fleet assignment persisted with the run.
-    pub fn set_fleet(&mut self, fleet: Option<crate::job::FleetAssignment>) {
-        self.fleet = fleet;
-    }
-
     /// Runs one ask → evaluate → tell iteration.
     ///
     /// Candidates whose fingerprint was already scored are answered from
     /// the ledger without spending budget; the batch is truncated to the
-    /// remaining budget, so [`SearchRun::spent`] never exceeds it.
+    /// remaining budget, so [`SearchRun::spent`] never exceeds it. Fresh
+    /// candidates are scored through [`par::try_map`] and consumed in
+    /// candidate order, so the result is byte-identical at any
+    /// `QOR_THREADS`.
     ///
     /// # Errors
     ///
     /// Propagates the first (lowest-index) evaluation failure.
     pub fn step(&mut self, eval: &dyn Evaluate) -> Result<StepReport, QorError> {
-        self.step_with(eval)
-    }
-
-    /// [`SearchRun::step`] over any batch evaluator (in-process via the
-    /// blanket impl, or a fleet dispatcher). Scores are consumed in
-    /// candidate order, so the result is byte-identical no matter how the
-    /// evaluator parallelizes internally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first (lowest-index) evaluation failure.
-    pub fn step_with<E: BatchEvaluate + ?Sized>(
-        &mut self,
-        eval: &E,
-    ) -> Result<StepReport, QorError> {
         let sp = obs::span("search_step");
         sp.attr("kernel", self.opts.kernel.as_str());
         sp.attr("strategy", self.opts.strategy.name());
@@ -362,18 +296,9 @@ impl SearchRun {
             remaining -= 1;
         }
 
-        let candidates: Vec<(Genome, PragmaConfig)> = fresh
-            .iter()
-            .map(|&(i, _)| (decoded[i].0.clone(), decoded[i].1.clone()))
-            .collect();
-        let scores = eval.evaluate_batch(&candidates)?;
-        if scores.len() != candidates.len() {
-            return Err(QorError::Shape(format!(
-                "evaluator returned {} scores for {} candidates",
-                scores.len(),
-                candidates.len()
-            )));
-        }
+        let scores = par::try_map("search/evaluate", &fresh, |_, &(i, _)| {
+            eval.evaluate(&decoded[i].1)
+        })?;
         let evaluated = fresh.len();
         for (&(i, fp), point) in fresh.iter().zip(&scores) {
             self.index.insert(fp, self.evaluated.len());
@@ -432,21 +357,9 @@ impl SearchRun {
     ///
     /// Propagates the first evaluation failure.
     pub fn run(&mut self, eval: &dyn Evaluate) -> Result<SearchOutcome, QorError> {
-        self.run_with(eval)
-    }
-
-    /// [`SearchRun::run`] over any batch evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation failure.
-    pub fn run_with<E: BatchEvaluate + ?Sized>(
-        &mut self,
-        eval: &E,
-    ) -> Result<SearchOutcome, QorError> {
         let mut stalled = 0u32;
         while !self.is_done() {
-            let report = self.step_with(eval)?;
+            let report = self.step(eval)?;
             if report.evaluated == 0 {
                 stalled += 1;
                 // 64 consecutive dry batches ≈ the space is exhausted below

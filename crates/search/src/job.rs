@@ -27,96 +27,12 @@ use crate::strategy::{self, StrategyKind};
 
 /// Magic bytes of a `.qorjob` stream.
 pub const JOB_MAGIC: [u8; 8] = *b"QORJOB\0\0";
-/// Current `.qorjob` format version (v2 appends the fleet section).
-pub const JOB_FORMAT_VERSION: u32 = 2;
+/// Current `.qorjob` format version. v3 ends the payload at the strategy
+/// state; v2 streams (which carried a trailing fleet section) and v1
+/// streams are refused as [`QorError::UnsupportedVersion`].
+pub const JOB_FORMAT_VERSION: u32 = 3;
 /// Record kind of a full job snapshot.
 const KIND_SNAPSHOT: u8 = 0;
-
-/// One worker's slice of a fleet job, as persisted in a v2 snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetWorkerRecord {
-    /// The worker's `host:port` address.
-    pub addr: String,
-    /// Work units this worker completed.
-    pub units_done: u64,
-    /// Consecutive failures at snapshot time (evicted workers keep their
-    /// terminal count).
-    pub failures: u64,
-    /// Whether the worker was serving traffic at snapshot time.
-    pub healthy: bool,
-}
-
-/// Fleet assignment state carried by a v2 `.qorjob`: which workers the
-/// coordinator knew, how work was spread across them, and the cumulative
-/// unhappy-path counters — enough for a resumed coordinator to re-register
-/// the same fleet and keep counting from where the crashed one stopped.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FleetAssignment {
-    /// The registered workers at snapshot time.
-    pub workers: Vec<FleetWorkerRecord>,
-    /// Work units dispatched over the job's lifetime.
-    pub units_dispatched: u64,
-    /// Units retried after a transport failure or timeout.
-    pub units_retried: u64,
-    /// Units reassigned to a different worker than first chosen.
-    pub units_reassigned: u64,
-    /// Workers evicted for consecutive failures.
-    pub workers_evicted: u64,
-}
-
-impl FleetAssignment {
-    /// Appends the wire encoding of this record.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.workers.len() as u32);
-        for w in &self.workers {
-            put_str(out, &w.addr);
-            put_u64(out, w.units_done);
-            put_u64(out, w.failures);
-            out.push(u8::from(w.healthy));
-        }
-        put_u64(out, self.units_dispatched);
-        put_u64(out, self.units_retried);
-        put_u64(out, self.units_reassigned);
-        put_u64(out, self.workers_evicted);
-    }
-
-    /// Reads one record from a verified payload cursor.
-    ///
-    /// # Errors
-    ///
-    /// [`QorError::Corrupt`] on truncation or out-of-range flag bytes.
-    pub fn decode(c: &mut wire::Cursor<'_>) -> Result<FleetAssignment, QorError> {
-        let n = c.u32("fleet worker count")?;
-        let mut workers = Vec::new();
-        for _ in 0..n {
-            let addr = c.str("fleet worker addr")?.to_string();
-            let units_done = c.u64("fleet worker units")?;
-            let failures = c.u64("fleet worker failures")?;
-            let healthy = match c.u8("fleet worker health")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(QorError::Corrupt(format!(
-                        "fleet worker health must be 0/1, found {other}"
-                    )))
-                }
-            };
-            workers.push(FleetWorkerRecord {
-                addr,
-                units_done,
-                failures,
-                healthy,
-            });
-        }
-        Ok(FleetAssignment {
-            workers,
-            units_dispatched: c.u64("fleet units dispatched")?,
-            units_retried: c.u64("fleet units retried")?,
-            units_reassigned: c.u64("fleet units reassigned")?,
-            workers_evicted: c.u64("fleet workers evicted")?,
-        })
-    }
-}
 
 /// Serializes the run into a `.qorjob` byte stream (current version).
 pub fn snapshot(run: &SearchRun) -> Vec<u8> {
@@ -160,13 +76,6 @@ pub fn snapshot(run: &SearchRun) -> Vec<u8> {
         put_f64(&mut out, rec.point.1);
     }
     run.strategy.save_state(&mut out);
-    match &run.fleet {
-        None => out.push(0),
-        Some(fleet) => {
-            out.push(1);
-            fleet.encode(&mut out);
-        }
-    }
     wire::seal(out)
 }
 
@@ -269,15 +178,6 @@ pub fn restore(bytes: &[u8]) -> Result<SearchRun, QorError> {
     run.index = index;
     run.front = front;
     run.strategy = strategy::load_state(strategy_kind, &mut c)?;
-    run.fleet = match c.u8("fleet flag")? {
-        0 => None,
-        1 => Some(FleetAssignment::decode(&mut c)?),
-        other => {
-            return Err(QorError::Corrupt(format!(
-                "fleet flag must be 0/1, found {other}"
-            )))
-        }
-    };
     if !c.done() {
         return Err(QorError::Corrupt(format!(
             "{} trailing bytes after job payload",

@@ -44,13 +44,10 @@ pub mod space;
 pub mod strategy;
 
 pub use engine::{
-    BatchEvaluate, EvalRecord, Evaluate, OracleEval, SearchOptions, SearchOutcome, SearchRun,
-    SessionEval, StepReport,
+    EvalRecord, Evaluate, OracleEval, SearchOptions, SearchOutcome, SearchRun, SessionEval,
+    StepReport,
 };
-pub use job::{
-    load_job_file, restore, save_job_file, snapshot, FleetAssignment, FleetWorkerRecord,
-    JOB_FORMAT_VERSION, JOB_MAGIC,
-};
+pub use job::{load_job_file, restore, save_job_file, snapshot, JOB_FORMAT_VERSION, JOB_MAGIC};
 pub use runner::{JobProgress, JobRunner, JobStatus, RunnerStats};
 pub use space::{Genome, SpaceModel};
 pub use strategy::{Strategy, StrategyKind};

@@ -21,7 +21,7 @@ use obs::log::Level;
 use obs::{trace, Json};
 use qor_core::{QorError, Session};
 
-use crate::engine::{BatchEvaluate, SearchOptions, SearchRun, SessionEval};
+use crate::engine::{SearchOptions, SearchRun, SessionEval};
 use crate::job;
 
 /// Lifecycle state of one job.
@@ -31,7 +31,8 @@ pub enum JobStatus {
     Running,
     /// The budget was exhausted (or the space ran dry) without error.
     Done,
-    /// An evaluation failed; see [`JobProgress::error`].
+    /// An evaluation failed, or a snapshot could not be written; see
+    /// [`JobProgress::error`].
     Failed,
     /// The job was cancelled via [`JobRunner::delete`].
     Cancelled,
@@ -69,9 +70,6 @@ pub struct JobProgress {
     pub front: Vec<(u64, f64, f64)>,
     /// Failure message when [`JobStatus::Failed`].
     pub error: Option<String>,
-    /// Evaluator-side live detail (fleet jobs publish worker/unit
-    /// counters here); `None` for in-process jobs.
-    pub fleet: Option<Json>,
     /// Job-scoped trace id (raw [`obs::TraceId`] bits), derived
     /// deterministically from the job id at submission. Every span, log
     /// event and flight record the worker thread emits carries it, so an
@@ -166,33 +164,6 @@ impl JobRunner {
     /// [`QorError::UnknownKernel`] / [`QorError::Shape`] when the request
     /// does not describe a searchable space (nothing is enqueued).
     pub fn submit(self: &Arc<Self>, opts: SearchOptions) -> Result<String, QorError> {
-        self.submit_impl(opts, None)
-    }
-
-    /// [`JobRunner::submit`], scoring candidates through a caller-supplied
-    /// batch evaluator instead of the runner's session — the hook the
-    /// fleet coordinator uses to fan evaluation out over HTTP workers. The
-    /// evaluator's [`BatchEvaluate::detail`] is republished into
-    /// [`JobProgress::fleet`] after every step, and its
-    /// [`BatchEvaluate::assignment`] is carried into each persisted
-    /// `.qorjob` snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`JobRunner::submit`].
-    pub fn submit_with(
-        self: &Arc<Self>,
-        opts: SearchOptions,
-        eval: Box<dyn BatchEvaluate + Send>,
-    ) -> Result<String, QorError> {
-        self.submit_impl(opts, Some(eval))
-    }
-
-    fn submit_impl(
-        self: &Arc<Self>,
-        opts: SearchOptions,
-        eval: Option<Box<dyn BatchEvaluate + Send>>,
-    ) -> Result<String, QorError> {
         let run = SearchRun::for_kernel(opts)?;
         let id = format!("job-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
         self.submitted.fetch_add(1, Ordering::Relaxed);
@@ -208,7 +179,6 @@ impl JobRunner {
                 iterations: 0,
                 front: Vec::new(),
                 error: None,
-                fleet: None,
                 trace: trace_id.0,
             }),
         });
@@ -231,7 +201,7 @@ impl JobRunner {
         let thread_id = id.clone();
         std::thread::Builder::new()
             .name(format!("qor-dse-{id}"))
-            .spawn(move || runner.drive(&thread_id, handle, run, eval))
+            .spawn(move || runner.drive(&thread_id, handle, run))
             .expect("spawning a job thread");
         Ok(id)
     }
@@ -242,13 +212,7 @@ impl JobRunner {
     /// every ask/tell iteration in a `dse_step` span, and deposits a
     /// `kind: "job"` flight record (one stage per iteration) when the job
     /// leaves [`JobStatus::Running`].
-    fn drive(
-        &self,
-        id: &str,
-        handle: Arc<JobHandle>,
-        mut run: SearchRun,
-        custom_eval: Option<Box<dyn BatchEvaluate + Send>>,
-    ) {
+    fn drive(&self, id: &str, handle: Arc<JobHandle>, mut run: SearchRun) {
         let trace_id = handle.progress.lock().unwrap().trace;
         let _trace_guard = trace::adopt_raw(trace_id);
         let _job_span = obs::span!(
@@ -265,26 +229,19 @@ impl JobRunner {
         flight.start_us = started_us;
         let mut job_busy_ns = 0u64;
         let mut step_no = 0u64;
-        let session_eval;
-        let eval: &dyn BatchEvaluate = match &custom_eval {
-            Some(boxed) => &**boxed,
-            None => {
-                session_eval = SessionEval::new(session.clone(), &run.options().kernel);
-                &session_eval
-            }
-        };
+        let eval = SessionEval::new(session.clone(), &run.options().kernel);
         let mut stalled = 0u32;
-        let final_status = loop {
+        let result = loop {
             if handle.cancel.load(Ordering::Relaxed) {
-                break JobStatus::Cancelled;
+                break Ok(JobStatus::Cancelled);
             }
             if run.is_done() {
-                break JobStatus::Done;
+                break Ok(JobStatus::Done);
             }
             let t0 = std::time::Instant::now();
             let step = {
                 let _s = obs::span("dse_step");
-                run.step_with(eval)
+                run.step(&eval)
             };
             let step_ns = t0.elapsed().as_nanos() as u64;
             self.busy_nanos.fetch_add(step_ns, Ordering::Relaxed);
@@ -293,71 +250,54 @@ impl JobRunner {
             flight
                 .stages
                 .push((format!("step-{step_no}"), step_ns / 1_000));
-            match step {
-                Ok(report) => {
-                    self.evaluations
-                        .fetch_add(report.evaluated as u64, Ordering::Relaxed);
-                    if obs::log::enabled(Level::Debug) {
-                        obs::log::event(
-                            Level::Debug,
-                            "dse.step",
-                            &[
-                                ("job", Json::str(id)),
-                                ("iteration", Json::UInt(step_no)),
-                                ("evaluated", Json::UInt(report.evaluated as u64)),
-                            ],
-                        );
-                    }
-                    if report.evaluated == 0 {
-                        stalled += 1;
-                        if stalled >= 64 {
-                            break JobStatus::Done;
-                        }
-                    } else {
-                        stalled = 0;
-                    }
-                    run.set_fleet(eval.assignment());
-                    self.publish(&handle, &run, JobStatus::Running, None, eval.detail());
-                    self.persist(id, &run);
+            let report = match step {
+                Ok(report) => report,
+                Err(e) => break Err(e),
+            };
+            self.evaluations
+                .fetch_add(report.evaluated as u64, Ordering::Relaxed);
+            if obs::log::enabled(Level::Debug) {
+                obs::log::event(
+                    Level::Debug,
+                    "dse.step",
+                    &[
+                        ("job", Json::str(id)),
+                        ("iteration", Json::UInt(step_no)),
+                        ("evaluated", Json::UInt(report.evaluated as u64)),
+                    ],
+                );
+            }
+            if report.evaluated == 0 {
+                stalled += 1;
+                if stalled >= 64 {
+                    break Ok(JobStatus::Done);
                 }
-                Err(e) => {
-                    self.publish(
-                        &handle,
-                        &run,
-                        JobStatus::Failed,
-                        Some(e.to_string()),
-                        eval.detail(),
-                    );
-                    self.failed.fetch_add(1, Ordering::Relaxed);
-                    self.finish(
-                        id,
-                        &run,
-                        JobStatus::Failed,
-                        flight,
-                        job_busy_ns,
-                        &stats_before,
-                        &session,
-                    );
-                    return;
-                }
+            } else {
+                stalled = 0;
+            }
+            self.publish(&handle, &run, JobStatus::Running, None);
+            if let Err(e) = self.persist(id, &run) {
+                break Err(e);
             }
         };
-        match final_status {
-            JobStatus::Done => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            JobStatus::Cancelled => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        run.set_fleet(eval.assignment());
-        self.publish(&handle, &run, final_status, None, eval.detail());
-        self.persist(id, &run);
+        // a finished or cancelled run writes its final snapshot; a failed
+        // step or snapshot write leaves the last good one in place
+        let result = result.and_then(|status| self.persist(id, &run).map(|()| status));
+        let (status, error) = match result {
+            Ok(status) => (status, None),
+            Err(e) => (JobStatus::Failed, Some(e.to_string())),
+        };
+        let counter = match status {
+            JobStatus::Done => &self.completed,
+            JobStatus::Cancelled => &self.cancelled,
+            _ => &self.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.publish(&handle, &run, status, error);
         self.finish(
             id,
             &run,
-            final_status,
+            status,
             flight,
             job_busy_ns,
             &stats_before,
@@ -427,7 +367,6 @@ impl JobRunner {
         run: &SearchRun,
         status: JobStatus,
         error: Option<String>,
-        fleet: Option<Json>,
     ) {
         let outcome = run.outcome();
         let mut progress = handle.progress.lock().unwrap();
@@ -436,14 +375,16 @@ impl JobRunner {
         progress.iterations = outcome.iterations;
         progress.front = outcome.front;
         progress.error = error;
-        progress.fleet = fleet;
     }
 
-    fn persist(&self, id: &str, run: &SearchRun) {
-        if let Some(dir) = &self.jobs_dir {
-            let _ = std::fs::create_dir_all(dir);
-            let _ = job::save_job_file(run, &dir.join(format!("{id}.qorjob")));
-        }
+    /// Writes the job's `.qorjob` snapshot when a jobs directory is
+    /// configured.
+    fn persist(&self, id: &str, run: &SearchRun) -> Result<(), QorError> {
+        let Some(dir) = &self.jobs_dir else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(dir)?;
+        job::save_job_file(run, &dir.join(format!("{id}.qorjob")))
     }
 
     /// Latest progress of a job, or `None` for unknown ids.
@@ -464,11 +405,6 @@ impl JobRunner {
             }
             None => false,
         }
-    }
-
-    /// Ids of all tracked jobs, in submission order.
-    pub fn ids(&self) -> Vec<String> {
-        self.jobs.lock().unwrap().keys().cloned().collect()
     }
 
     /// Aggregate counters for `/metrics`.
@@ -550,7 +486,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QorError::UnknownKernel(_)));
         assert_eq!(runner.stats().submitted, 0);
-        assert!(runner.ids().is_empty());
     }
 
     #[test]
@@ -590,5 +525,33 @@ mod tests {
         let restored = crate::job::load_job_file(&path).unwrap();
         assert_eq!(restored.spent(), progress.spent);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unwritable_jobs_dir_fails_the_job_typed() {
+        // a regular file where the jobs directory's parent should be:
+        // create_dir_all cannot succeed, so no snapshot can be written
+        let file = std::env::temp_dir().join(format!("qor-jobs-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let opts = TrainOptions::quick().with_hidden(8).with_seed(3);
+        let runner = JobRunner::with_jobs_dir(
+            Arc::new(Session::with_capacity(HierarchicalModel::new(&opts), 64)),
+            file.join("jobs"),
+        );
+        let id = runner
+            .submit(
+                SearchOptions::new("fir", StrategyKind::Random, 6)
+                    .with_seed(4)
+                    .with_batch(3)
+                    .with_unroll_factors(vec![1, 4]),
+            )
+            .unwrap();
+        let progress = runner.wait(&id, Duration::from_secs(30)).unwrap();
+        std::fs::remove_file(&file).ok();
+        assert_eq!(progress.status, JobStatus::Failed);
+        let error = progress.error.expect("a failed job carries its error");
+        assert!(error.starts_with("io: "), "{error}");
+        let stats = runner.stats();
+        assert_eq!((stats.completed, stats.failed), (0, 1));
     }
 }

@@ -151,10 +151,8 @@ impl SpaceModel {
     }
 
     /// The model for a bundled kernel's pragma space, optionally with
-    /// overridden unroll factors — the same construction
-    /// [`crate::SearchRun::for_kernel`] performs, exposed so fleet workers
-    /// can rebuild the coordinator's exact genome space from wire
-    /// parameters.
+    /// overridden unroll factors (the construction
+    /// [`crate::SearchRun::for_kernel`] performs).
     ///
     /// # Errors
     ///

@@ -92,43 +92,17 @@ fn every_byte_flip_is_a_typed_error() {
     }
 }
 
-/// A populated fleet section — every field non-default so flips in the
-/// fleet bytes can't be absorbed by zeroed padding.
-fn assignment() -> search::FleetAssignment {
-    search::FleetAssignment {
-        workers: vec![
-            search::FleetWorkerRecord {
-                addr: "127.0.0.1:7001".to_string(),
-                units_done: 9,
-                failures: 1,
-                healthy: true,
-            },
-            search::FleetWorkerRecord {
-                addr: "127.0.0.1:7002".to_string(),
-                units_done: 4,
-                failures: 2,
-                healthy: false,
-            },
-        ],
-        units_dispatched: 13,
-        units_retried: 3,
-        units_reassigned: 2,
-        workers_evicted: 1,
-    }
-}
-
 #[test]
-fn v2_fleet_snapshot_round_trips_and_rejects_every_flip_and_truncation() {
+fn v3_snapshot_round_trips_and_rejects_every_flip_and_truncation() {
     let session = session();
     let eval = SessionEval::new(session, "bicg");
     let mut run = SearchRun::for_kernel(opts(StrategyKind::Genetic)).unwrap();
     run.step(&eval).unwrap();
-    run.set_fleet(Some(assignment()));
 
     let bytes = search::snapshot(&run);
+    assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "snapshots are v3");
     let restored = search::restore(&bytes).unwrap();
-    assert_eq!(restored.fleet(), Some(&assignment()), "fleet section lost");
-    assert_eq!(search::snapshot(&restored), bytes, "v2 re-snapshot drifted");
+    assert_eq!(search::snapshot(&restored), bytes, "v3 re-snapshot drifted");
 
     for offset in 0..bytes.len() {
         let mut corrupt = bytes.clone();
@@ -159,8 +133,9 @@ fn future_versions_are_unsupported_not_corrupt() {
     let bytes = search::snapshot(&run);
 
     // patch the version field and re-seal so only the version differs;
-    // both an older (pre-fleet v1) and a future version are refused
-    for version in [1, search::JOB_FORMAT_VERSION + 1] {
+    // the retired v1 and v2 (fleet section) formats and a future version
+    // are all refused
+    for version in [1, 2, search::JOB_FORMAT_VERSION + 1] {
         let mut patched = bytes[..bytes.len() - 8].to_vec();
         patched[8..12].copy_from_slice(&version.to_le_bytes());
         let sum = qor_core::fnv1a(&patched);

@@ -57,9 +57,7 @@ struct Args {
     batch_wait_us: Option<u64>,
     no_batch: bool,
     self_test: bool,
-    fleet_self_test: bool,
     jobs_dir: Option<String>,
-    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -74,9 +72,7 @@ fn parse_args() -> Result<Args, String> {
         batch_wait_us: None,
         no_batch: false,
         self_test: false,
-        fleet_self_test: false,
         jobs_dir: None,
-        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -121,15 +117,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-batch" => args.no_batch = true,
             "--self-test" => args.self_test = true,
-            "--fleet-self-test" => args.fleet_self_test = true,
             "--jobs-dir" => args.jobs_dir = Some(value("--jobs-dir")?),
-            "--out" => args.out = Some(value("--out")?),
             "--help" | "-h" => {
                 println!(
                     "usage: qor-serve [--addr HOST:PORT] [--checkpoint FILE | --train-quick] \
                      [--model NAME=FILE]... [--save FILE] [--cache-cap KERNELS] \
                      [--batch-max N] [--batch-wait-us N] [--no-batch] [--jobs-dir DIR] \
-                     [--self-test] [--fleet-self-test [--out FILE]]"
+                     [--self-test]"
                 );
                 std::process::exit(0);
             }
@@ -189,18 +183,6 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("self-test FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.fleet_self_test {
-        return match fleet_self_test(args.out.as_deref()) {
-            Ok(()) => {
-                println!("fleet self-test ok");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fleet self-test FAILED: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -578,178 +560,5 @@ fn self_test() -> Result<(), String> {
         stats.misses,
         stats.hits + stats.misses
     );
-    Ok(())
-}
-
-/// Distributed-search gate: a coordinator and two worker servers on real
-/// loopback HTTP. A seeded fleet job must produce a front byte-identical
-/// to the same job run in-process on the coordinator, keep doing so after
-/// a worker is shut down mid-roster (retry + eviction), and fail typed
-/// (HTTP 503, code `fleet`) once no worker remains. `--out FILE` writes a
-/// digest JSON that CI compares across `QOR_THREADS` settings.
-fn fleet_self_test(out: Option<&str>) -> Result<(), String> {
-    use serve::json;
-
-    let io = |e: std::io::Error| format!("io: {e}");
-    let spawn_server = || -> Result<serve::ServerHandle, String> {
-        // identical TrainOptions on every server -> identical weights, so
-        // worker-scored candidates match the coordinator's own session
-        let model = HierarchicalModel::new(&TrainOptions::quick().with_hidden(12).with_seed(1));
-        let registry = Arc::new(ModelRegistry::with_default(model, 128));
-        Server::bind_with(
-            "127.0.0.1:0",
-            registry,
-            ServerConfig {
-                dispatch: DispatchMode::Direct,
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(io)?
-        .spawn()
-        .map_err(io)
-    };
-    let worker_a = spawn_server()?;
-    let worker_b = spawn_server()?;
-    let coord = spawn_server()?;
-    let addr = coord.addr();
-    let addr_a = worker_a.addr().to_string();
-    let addr_b = worker_b.addr().to_string();
-
-    for worker in [&addr_a, &addr_b] {
-        let body = format!("{{\"addr\":{worker:?}}}");
-        let (status, reply) =
-            client_request(addr, "POST", "/v1/fleet/workers", Some(&body)).map_err(io)?;
-        if status != 200 || !reply.contains("\"registered\":true") {
-            return Err(format!("register {worker}: status {status}, body {reply}"));
-        }
-    }
-    let (status, roster) = client_request(addr, "GET", "/v1/fleet/workers", None).map_err(io)?;
-    if status != 200 || !roster.contains("\"workers_alive\":2") {
-        return Err(format!("roster after registration: {roster}"));
-    }
-    println!("fleet: 2 workers registered with the coordinator");
-
-    let run_job = |body: &str| -> Result<String, String> {
-        let (status, reply) = client_request(addr, "POST", "/v1/dse", Some(body)).map_err(io)?;
-        if status != 200 {
-            return Err(format!("dse submit: status {status}, body {reply}"));
-        }
-        let doc = json::parse(&reply).map_err(|e| format!("submit reply: {e}"))?;
-        let id = json::field(&doc, "id")
-            .and_then(json::as_str)
-            .ok_or_else(|| format!("no job id in {reply}"))?
-            .to_string();
-        let path = format!("/v1/dse/{id}");
-        for _ in 0..3000 {
-            let (status, progress) = client_request(addr, "GET", &path, None).map_err(io)?;
-            if status != 200 {
-                return Err(format!("dse poll: status {status}, body {progress}"));
-            }
-            let doc = json::parse(&progress).map_err(|e| format!("poll reply: {e}"))?;
-            match json::field(&doc, "status").and_then(json::as_str) {
-                Some("running") => std::thread::sleep(Duration::from_millis(10)),
-                Some("done") => return Ok(progress),
-                other => return Err(format!("job ended as {other:?}: {progress}")),
-            }
-        }
-        Err("job did not finish within the poll budget".into())
-    };
-    // the raw `"front":[...]` byte range: objects inside carry no brackets,
-    // so the first `]` closes the array — an exact byte-compare needs no
-    // canonicalization step
-    fn front_of(body: &str) -> Result<&str, String> {
-        let start = body
-            .find("\"front\":[")
-            .ok_or_else(|| format!("no front in {body}"))?;
-        let end = body[start..]
-            .find(']')
-            .ok_or_else(|| format!("unterminated front in {body}"))?;
-        Ok(&body[start..=start + end])
-    }
-    let spent_of = |body: &str| -> Result<u64, String> {
-        let doc = json::parse(body).map_err(|e| format!("progress: {e}"))?;
-        json::field(&doc, "spent")
-            .and_then(json::as_u64)
-            .ok_or_else(|| format!("no spent in {body}"))
-    };
-
-    let base = r#""kernel":"bicg","strategy":"genetic","budget":16,"seed":77,"batch":6"#;
-    let fleet_body = format!("{{{base},\"fleet\":true,\"unit_size\":2}}");
-    let solo_body = format!("{{{base}}}");
-
-    let fleet_progress = run_job(&fleet_body)?;
-    if !fleet_progress.contains("\"fleet\":{") || !fleet_progress.contains("\"workers\":2") {
-        return Err(format!(
-            "fleet job published no fleet detail: {fleet_progress}"
-        ));
-    }
-    let solo_progress = run_job(&solo_body)?;
-    let fleet_front = front_of(&fleet_progress)?;
-    if fleet_front != front_of(&solo_progress)? {
-        return Err(format!(
-            "fleet front diverged from single-process:\n  fleet: {fleet_front}\n  solo:  {}",
-            front_of(&solo_progress)?
-        ));
-    }
-    let spent = spent_of(&fleet_progress)?;
-    if spent != spent_of(&solo_progress)? {
-        return Err("fleet job spent a different budget than single-process".into());
-    }
-    println!("fleet(2 workers) == single-process: front byte-identical, spent {spent}/16");
-
-    let (status, metrics) = client_request(addr, "GET", "/v1/metrics", None).map_err(io)?;
-    if status != 200
-        || !metrics.contains("qor_fleet_workers 2")
-        || metrics.contains("qor_fleet_units_dispatched_total 0")
-        || !metrics.contains("qor_fleet_units_dispatched_total")
-    {
-        return Err(format!("fleet metrics missing: {metrics}"));
-    }
-
-    // worker loss mid-roster: the survivor absorbs reassigned units and
-    // the result still matches
-    worker_b.shutdown();
-    let degraded = run_job(&fleet_body)?;
-    if front_of(&degraded)? != fleet_front {
-        return Err("front diverged after losing a worker".into());
-    }
-    let (_, roster) = client_request(addr, "GET", "/v1/fleet/workers", None).map_err(io)?;
-    if !roster.contains("\"workers_alive\":1") {
-        return Err(format!("dead worker not evicted: {roster}"));
-    }
-    println!("fleet(1 worker after kill): front still byte-identical; dead worker evicted");
-
-    // no live workers: the submit must fail typed, budget untouched
-    for worker in [&addr_a, &addr_b] {
-        let path = format!("/v1/fleet/workers/{worker}");
-        let (status, reply) = client_request(addr, "DELETE", &path, None).map_err(io)?;
-        if status != 200 {
-            return Err(format!(
-                "deregister {worker}: status {status}, body {reply}"
-            ));
-        }
-    }
-    let (status, reply) = client_request(addr, "POST", "/v1/dse", Some(&fleet_body)).map_err(io)?;
-    if status != 503 || !reply.contains("\"code\":\"fleet\"") {
-        return Err(format!(
-            "empty roster must 503 with the fleet code, got {status}: {reply}"
-        ));
-    }
-    println!("empty roster: submit rejected with 503 code=fleet");
-
-    worker_a.shutdown();
-    coord.shutdown();
-
-    if let Some(path) = out {
-        let mut bytes = Vec::from(fleet_front.as_bytes());
-        bytes.extend_from_slice(&spent.to_be_bytes());
-        let digest = qor_core::fnv1a(&bytes);
-        let doc = format!(
-            "{{\"schema\":1,\"kernel\":\"bicg\",\"seed\":77,\"budget\":16,\"spent\":{spent},\
-             \"digest\":\"{digest:016x}\",{fleet_front}}}\n"
-        );
-        std::fs::write(path, doc).map_err(io)?;
-        println!("digest written to {path}");
-    }
     Ok(())
 }

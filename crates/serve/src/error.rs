@@ -59,9 +59,6 @@ pub enum ApiCode {
     /// The operation conflicts with serving state (e.g. removing the last
     /// model).
     Conflict,
-    /// The distributed-search fleet cannot serve the request: no live
-    /// workers, or a unit exhausted its retries ([`QorError::Fleet`]).
-    Fleet,
     /// Unexpected serving-layer failure.
     Internal,
 }
@@ -85,7 +82,6 @@ impl ApiCode {
             ApiCode::UnknownModel => "unknown_model",
             ApiCode::UnknownJob => "unknown_job",
             ApiCode::Conflict => "conflict",
-            ApiCode::Fleet => "fleet",
             ApiCode::Internal => "internal",
         }
     }
@@ -97,7 +93,6 @@ impl ApiCode {
             ApiCode::MethodNotAllowed => 405,
             ApiCode::PayloadTooLarge => 413,
             ApiCode::Conflict => 409,
-            ApiCode::Fleet => 503,
             ApiCode::Internal | ApiCode::Io => 500,
             // pipeline rejections of client-supplied inputs are 4xx: the
             // request was understood but the payload cannot be served
@@ -120,7 +115,6 @@ impl ApiCode {
             405 => "Method Not Allowed",
             409 => "Conflict",
             413 => "Payload Too Large",
-            503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
     }
@@ -195,7 +189,6 @@ impl From<QorError> for ApiError {
             QorError::Shape(_) => ApiCode::Shape,
             QorError::Corrupt(_) => ApiCode::Corrupt,
             QorError::UnsupportedVersion(_) => ApiCode::UnsupportedVersion,
-            QorError::Fleet(_) => ApiCode::Fleet,
         };
         ApiError::new(code, e.to_string())
     }
@@ -224,11 +217,6 @@ mod tests {
                 QorError::Io(std::io::Error::other("disk")),
                 ApiCode::Io,
                 500,
-            ),
-            (
-                QorError::Fleet("no live workers".into()),
-                ApiCode::Fleet,
-                503,
             ),
         ];
         for (qor, code, status) in cases {
@@ -271,7 +259,6 @@ mod tests {
             ApiCode::UnknownModel,
             ApiCode::UnknownJob,
             ApiCode::Conflict,
-            ApiCode::Fleet,
             ApiCode::Internal,
         ] {
             assert!(!code.token().is_empty());

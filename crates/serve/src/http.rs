@@ -241,28 +241,9 @@ pub fn client_request_with(
     body: Option<&str>,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<ClientResponse> {
-    client_request_timeout(addr, method, path, body, extra_headers, IO_TIMEOUT)
-}
-
-/// As [`client_request_with`], with an explicit connect/read/write
-/// timeout — the fleet dispatcher uses a per-request deadline so a hung
-/// worker costs one bounded attempt, not the server default.
-///
-/// # Errors
-///
-/// As [`client_request`]; a timeout surfaces as the socket's
-/// `WouldBlock`/`TimedOut` error kind.
-pub fn client_request_timeout(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    extra_headers: &[(&str, &str)],
-    timeout: Duration,
-) -> std::io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
+    let mut stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)?;
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let body = body.unwrap_or("");
     let mut head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",

@@ -40,7 +40,6 @@
 pub mod batcher;
 pub mod checkpoint;
 pub mod error;
-pub mod fleet_wire;
 pub mod http;
 pub mod json;
 pub mod registry;
@@ -52,7 +51,6 @@ pub use checkpoint::{
     FORMAT_VERSION, MAGIC,
 };
 pub use error::{ApiCode, ApiError};
-pub use fleet_wire::HttpTransport;
 pub use registry::{ModelEntry, ModelRegistry, DEFAULT_MODEL};
 pub use server::{DispatchMode, Server, ServerConfig, ServerHandle};
 

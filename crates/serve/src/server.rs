@@ -16,28 +16,16 @@
 //! | `/v1/dse`            | POST   | submit a search job → `{"id":"job-1"}`         |
 //! | `/v1/dse/<id>`       | GET    | — → job progress + incumbent Pareto front      |
 //! | `/v1/dse/<id>`       | DELETE | cancel and forget the job                      |
-//! | `/v1/fleet/workers`  | POST   | `{"addr":"host:port"}` → register a worker     |
-//! | `/v1/fleet/workers`  | GET    | — → worker roster + dispatch counters          |
-//! | `/v1/fleet/workers/<addr>` | DELETE | deregister a worker                      |
-//! | `/v1/fleet/eval`     | POST   | one fleet work unit (worker side)              |
 //! | `/debug/requests`    | GET    | — → flight-recorder dump (unversioned)         |
 //! | `/debug/vars`        | GET    | — → build info, config, counters (unversioned) |
 //!
-//! # Distributed search
+//! # Search jobs
 //!
-//! Any server doubles as a **fleet worker**: `POST /v1/fleet/eval` scores
-//! one work unit of genomes through the default model, sequentially, so
-//! the reply is independent of the worker's thread count. A server acting
-//! as **coordinator** keeps a worker roster (`/v1/fleet/workers`); a
-//! `POST /v1/dse` body with `"fleet": true` then shards every search
-//! step's fresh candidates across the live workers via [`fleet::FleetEval`]
-//! — with bounded retry, reassignment, and consecutive-failure eviction —
-//! and merges scores in unit order, so the fleet job's ledger and front
-//! are byte-identical to a single-process run at the same seed. With
+//! `POST /v1/dse` runs a budgeted search job on a background thread
+//! through the default model's session (see [`search::JobRunner`]). With
 //! [`ServerConfig::jobs_dir`] set, every step checkpoints a resumable
-//! `.qorjob` (format v2 carries the fleet assignment). When no live
-//! worker remains the job fails typed (`code":"fleet"`, HTTP 503) without
-//! spending budget.
+//! `.qorjob`; a job whose snapshot cannot be written ends `failed` with
+//! the I/O error rather than running on without its recovery point.
 //!
 //! # Requests and batching
 //!
@@ -106,17 +94,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fleet::{FleetOptions, FleetStats, Roster, Transport};
 use obs::log::Level;
 use obs::metrics::{HistogramDetail, LogHistogram};
 use obs::{trace, Json};
 use pragma::{ArrayPartition, LoopId, PartitionKind, PragmaConfig, Unroll};
-use qor_core::{CacheStats, PredictReport, QorError, Session};
+use qor_core::{CacheStats, PredictReport, Session};
 use search::{JobProgress, JobRunner, SearchOptions, StrategyKind};
 
 use crate::batcher::{BatchOptions, Batcher, ItemOutcome, PredictItem};
 use crate::error::{ApiCode, ApiError};
-use crate::fleet_wire::{self, HttpTransport};
 use crate::http::{self, ParseError, Request};
 use crate::json;
 use crate::registry::ModelRegistry;
@@ -141,7 +127,7 @@ pub struct ServerConfig {
     /// Prediction dispatch (default: batched, tuned by `QOR_BATCH_MAX` /
     /// `QOR_BATCH_WAIT_US`).
     pub dispatch: DispatchMode,
-    /// When set, every DSE job step (fleet or in-process) persists a
+    /// When set, every DSE job step persists a
     /// resumable `.qorjob` snapshot under this directory.
     pub jobs_dir: Option<PathBuf>,
 }
@@ -155,31 +141,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// The coordinator's fleet machinery, shared across jobs: one worker
-/// roster, one HTTP transport, and one cumulative stats block that
-/// `/metrics` and `/debug/vars` render.
-struct FleetHub {
-    roster: Arc<Roster>,
-    transport: Arc<dyn Transport>,
-    stats: Arc<FleetStats>,
-}
-
-impl FleetHub {
-    /// Evicts after `QOR_FLEET_EVICT_AFTER` consecutive failures
-    /// (default 2); unit timeout honors `QOR_FLEET_TIMEOUT_MS`.
-    fn from_env() -> FleetHub {
-        let evict_after = std::env::var("QOR_FLEET_EVICT_AFTER")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(2);
-        FleetHub {
-            roster: Arc::new(Roster::new(evict_after)),
-            transport: Arc::new(HttpTransport::from_env()),
-            stats: Arc::new(FleetStats::default()),
-        }
-    }
-}
-
 /// Shared state behind the accept loop and all connection threads.
 struct ServeState {
     registry: Arc<ModelRegistry>,
@@ -188,7 +149,6 @@ struct ServeState {
     /// dispatcher joined) when the last state reference goes away.
     batcher: Option<Batcher>,
     dispatch: DispatchMode,
-    fleet: FleetHub,
     shutdown: AtomicBool,
     requests: AtomicU64,
     predictions: AtomicU64,
@@ -273,7 +233,6 @@ impl Server {
                 runner,
                 batcher,
                 dispatch: config.dispatch,
-                fleet: FleetHub::from_env(),
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
                 predictions: AtomicU64::new(0),
@@ -373,10 +332,6 @@ enum Endpoint {
     DseSubmit,
     DseGet,
     DseDelete,
-    FleetRegister,
-    FleetList,
-    FleetDeregister,
-    FleetEvalUnit,
     DebugRequests,
     DebugVars,
 }
@@ -419,30 +374,6 @@ const ROUTES: &[RouteDef] = &[
     v1("POST", "/v1/dse", Endpoint::DseSubmit, "dse_submit"),
     v1("GET", "/v1/dse/:id", Endpoint::DseGet, "dse_job"),
     v1("DELETE", "/v1/dse/:id", Endpoint::DseDelete, "dse_job"),
-    v1(
-        "POST",
-        "/v1/fleet/workers",
-        Endpoint::FleetRegister,
-        "fleet_workers",
-    ),
-    v1(
-        "GET",
-        "/v1/fleet/workers",
-        Endpoint::FleetList,
-        "fleet_workers",
-    ),
-    v1(
-        "DELETE",
-        "/v1/fleet/workers/:addr",
-        Endpoint::FleetDeregister,
-        "fleet_worker",
-    ),
-    v1(
-        "POST",
-        "/v1/fleet/eval",
-        Endpoint::FleetEvalUnit,
-        "fleet_eval",
-    ),
     // the debug surface is operational, not part of the versioned API
     v1(
         "GET",
@@ -541,7 +472,6 @@ impl Response {
             405 => "Method Not Allowed",
             409 => "Conflict",
             413 => "Payload Too Large",
-            503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
     }
@@ -754,10 +684,6 @@ fn dispatch(
         Endpoint::DseSubmit => dse_submit(state, &request.body).map(Response::ok_json),
         Endpoint::DseGet => dse_get(state, &params[0]).map(Response::ok_json),
         Endpoint::DseDelete => dse_delete(state, &params[0]).map(Response::ok_json),
-        Endpoint::FleetRegister => fleet_register(state, &request.body).map(Response::ok_json),
-        Endpoint::FleetList => Ok(Response::ok_json(fleet_list(state))),
-        Endpoint::FleetDeregister => fleet_deregister(state, &params[0]).map(Response::ok_json),
-        Endpoint::FleetEvalUnit => fleet_eval_unit(state, &request.body).map(Response::ok_json),
         Endpoint::DebugRequests => Ok(Response::ok_json(obs::flight::to_json().to_string())),
         Endpoint::DebugVars => Ok(Response::ok_json(debug_vars(state))),
     };
@@ -835,7 +761,6 @@ fn debug_vars(state: &ServeState) -> String {
                 ("evaluations", Json::UInt(dse.evaluations)),
             ]),
         ),
-        ("fleet", fleet_json(state)),
         (
             "flight",
             Json::obj(vec![
@@ -1302,43 +1227,7 @@ fn dse_submit(state: &ServeState, body: &[u8]) -> Result<String, ApiError> {
     let opts = SearchOptions::new(kernel, strategy, budget)
         .with_seed(seed)
         .with_batch(batch);
-    let fleet_job = match json::field(&doc, "fleet") {
-        Some(v) => json::as_bool(v).ok_or_else(|| bad("\"fleet\" must be a boolean"))?,
-        None => false,
-    };
-    let id = if fleet_job {
-        let hub = &state.fleet;
-        if hub.roster.live().is_empty() {
-            // restarted workers answer probes without re-registration
-            let _ = hub.roster.probe_all(&*hub.transport);
-        }
-        if hub.roster.live().is_empty() {
-            return Err(ApiError::from(QorError::Fleet(format!(
-                "no live workers ({} registered)",
-                hub.roster.len()
-            ))));
-        }
-        let mut fleet_opts = FleetOptions::default();
-        if let Some(v) = json::field(&doc, "unit_size") {
-            fleet_opts.unit_size = json::as_u64(v)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| bad("\"unit_size\" must be a non-negative integer"))?;
-        }
-        let eval = fleet::FleetEval::new(
-            Arc::clone(&hub.transport),
-            Arc::clone(&hub.roster),
-            kernel,
-            format!("dse:{kernel}"),
-        )
-        .with_options(fleet_opts)
-        .with_stats(Arc::clone(&hub.stats));
-        state
-            .runner
-            .submit_with(opts, Box::new(eval))
-            .map_err(ApiError::from)?
-    } else {
-        state.runner.submit(opts).map_err(ApiError::from)?
-    };
+    let id = state.runner.submit(opts).map_err(ApiError::from)?;
     Ok(Json::obj(vec![("id", Json::str(id))]).to_string())
 }
 
@@ -1381,119 +1270,10 @@ fn progress_json(id: &str, progress: &JobProgress) -> Json {
         ("iterations", Json::UInt(progress.iterations)),
         ("front", Json::Arr(front)),
     ];
-    if let Some(fleet) = &progress.fleet {
-        fields.push(("fleet", fleet.clone()));
-    }
     if let Some(error) = &progress.error {
         fields.push(("error", Json::str(error)));
     }
     Json::obj(fields)
-}
-
-// ------------------------------------------------------------------ fleet
-
-/// `POST /v1/fleet/workers` with `{"addr":"host:port"}`: registers (or
-/// revives) a worker for fleet-dispatched DSE jobs.
-fn fleet_register(state: &ServeState, body: &[u8]) -> Result<String, ApiError> {
-    let doc = parse_body(body)?;
-    let addr = json::field(&doc, "addr")
-        .and_then(json::as_str)
-        .ok_or_else(|| ApiError::bad_request("\"addr\" must be a \"host:port\" string"))?;
-    if addr.parse::<SocketAddr>().is_err() {
-        return Err(ApiError::bad_request(format!(
-            "\"addr\" must parse as a socket address, got {addr:?}"
-        )));
-    }
-    let new = state.fleet.roster.register(addr);
-    obs::metrics::counter_add("fleet/worker_registrations", 1);
-    obs::log::event(
-        Level::Info,
-        "fleet.register",
-        &[("worker", Json::str(addr)), ("new", Json::Bool(new))],
-    );
-    Ok(Json::obj(vec![
-        ("registered", Json::Bool(true)),
-        ("new", Json::Bool(new)),
-        ("workers", Json::UInt(state.fleet.roster.len() as u64)),
-    ])
-    .to_string())
-}
-
-fn fleet_list(state: &ServeState) -> String {
-    fleet_json(state).to_string()
-}
-
-/// `DELETE /v1/fleet/workers/<addr>`: forgets a worker entirely (an
-/// evicted worker that should return goes through re-registration
-/// instead).
-fn fleet_deregister(state: &ServeState, addr: &str) -> Result<String, ApiError> {
-    if state.fleet.roster.remove(addr) {
-        Ok(Json::obj(vec![("removed", Json::Bool(true))]).to_string())
-    } else {
-        Err(ApiError::new(
-            ApiCode::NotFound,
-            format!("no registered worker {addr:?}"),
-        ))
-    }
-}
-
-/// `POST /v1/fleet/eval` (worker side): scores one work unit of genomes
-/// through the default model, sequentially, so the reply is independent
-/// of this worker's `QOR_THREADS`.
-fn fleet_eval_unit(state: &ServeState, body: &[u8]) -> Result<String, ApiError> {
-    let doc = parse_body(body)?;
-    let unit = fleet_wire::decode_unit_body(&doc).map_err(ApiError::bad_request)?;
-    let session = state.registry.default_entry()?.session().clone();
-    let points = fleet::evaluate_genomes(
-        session,
-        &unit.kernel,
-        unit.unroll_factors.as_deref(),
-        &unit.genomes,
-    )
-    .map_err(ApiError::from)?;
-    state
-        .predictions
-        .fetch_add(points.len() as u64, Ordering::Relaxed);
-    obs::metrics::counter_add("fleet/worker_units", 1);
-    obs::metrics::counter_add("fleet/worker_genomes", points.len() as u64);
-    Ok(fleet_wire::encode_unit_response(unit.unit, &points).to_string())
-}
-
-/// The shared fleet snapshot rendered by `GET /v1/fleet/workers` and
-/// `/debug/vars`: the roster plus the hub's cumulative dispatch counters.
-fn fleet_json(state: &ServeState) -> Json {
-    let workers = state.fleet.roster.list();
-    let alive = workers.iter().filter(|w| w.healthy).count();
-    let counters = state.fleet.stats.snapshot();
-    Json::obj(vec![
-        (
-            "workers",
-            Json::Arr(
-                workers
-                    .iter()
-                    .map(|w| {
-                        Json::obj(vec![
-                            ("addr", Json::str(&w.addr)),
-                            ("units_done", Json::UInt(w.units_done)),
-                            ("failures", Json::UInt(w.failures)),
-                            ("healthy", Json::Bool(w.healthy)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("workers_alive", Json::UInt(alive as u64)),
-        (
-            "workers_evicted",
-            Json::UInt(state.fleet.roster.evicted_total()),
-        ),
-        ("units_in_flight", Json::UInt(counters.in_flight)),
-        ("units_dispatched", Json::UInt(counters.dispatched)),
-        ("units_completed", Json::UInt(counters.completed)),
-        ("units_retried", Json::UInt(counters.retried)),
-        ("units_reassigned", Json::UInt(counters.reassigned)),
-        ("units_orphaned", Json::UInt(counters.orphaned)),
-    ])
 }
 
 // ----------------------------------------------------------------- metrics
@@ -1596,51 +1376,6 @@ fn render_metrics(state: &ServeState) -> String {
         "gauge",
         format_float(dse.evals_per_sec),
     );
-
-    // fleet families, instance-local (the obs `fleet/*` mirrors are
-    // process-global and skipped below, same as `serve/http/*`)
-    {
-        let workers = state.fleet.roster.list();
-        let alive = workers.iter().filter(|w| w.healthy).count();
-        let f = state.fleet.stats.snapshot();
-        put("qor_fleet_workers", "gauge", workers.len().to_string());
-        put("qor_fleet_workers_live", "gauge", alive.to_string());
-        put(
-            "qor_fleet_workers_evicted_total",
-            "counter",
-            state.fleet.roster.evicted_total().to_string(),
-        );
-        put(
-            "qor_fleet_units_dispatched_total",
-            "counter",
-            f.dispatched.to_string(),
-        );
-        put(
-            "qor_fleet_units_completed_total",
-            "counter",
-            f.completed.to_string(),
-        );
-        put(
-            "qor_fleet_units_retried_total",
-            "counter",
-            f.retried.to_string(),
-        );
-        put(
-            "qor_fleet_units_reassigned_total",
-            "counter",
-            f.reassigned.to_string(),
-        );
-        put(
-            "qor_fleet_units_orphaned_total",
-            "counter",
-            f.orphaned.to_string(),
-        );
-        put(
-            "qor_fleet_units_in_flight",
-            "gauge",
-            f.in_flight.to_string(),
-        );
-    }
 
     put(
         "qor_http_responses_2xx_total",
@@ -1771,7 +1506,6 @@ fn render_metrics(state: &ServeState) -> String {
         if name.starts_with("session/")
             || name.starts_with("serve/http/")
             || name.starts_with("incr/")
-            || name.starts_with("fleet/")
         {
             continue;
         }

@@ -450,7 +450,8 @@ fn v1_routes_serve_and_unversioned_paths_get_a_typed_404() {
             "{method} {path} must not be deprecated: {headers:?}"
         );
     }
-    // unversioned paths match no route: each is a typed 404 envelope
+    // unversioned paths and the removed distributed-search routes match
+    // no route: each is a typed 404 envelope
     for (method, path, body) in [
         ("GET", "/healthz", None),
         ("GET", "/metrics", None),
@@ -458,6 +459,9 @@ fn v1_routes_serve_and_unversioned_paths_get_a_typed_404() {
         ("POST", "/dse", Some(r#"{"kernel":"mvt"}"#)),
         ("GET", "/dse/job-1", None),
         ("DELETE", "/dse/job-1", None),
+        ("GET", "/v1/fleet/workers", None),
+        ("DELETE", "/v1/fleet/workers/x", None),
+        ("POST", "/v1/fleet/eval", Some(r#"{"unit":0}"#)),
     ] {
         let (status, headers, response) =
             serve::http::client_request_with(addr, method, path, body, &[]).unwrap();
