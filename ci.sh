@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc gate: a broken or ambiguous intra-doc link (e.g. to a deleted item)
+# fails the build.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Checkpoint gate: a saved model must reload bit-exactly (differential
 # round-trip) and every corrupted byte/truncation must fail typed.
 echo "==> checkpoint round-trip gate"

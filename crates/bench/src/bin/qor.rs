@@ -5,8 +5,8 @@
 //! qor graph    <file.c> [--dot out.dot]       pragma-aware CDFG (uses in-source pragmas)
 //! qor estimate <file.c>                       oracle QoR (simulated tool flow)
 //! qor sweep    <file.c|kernel>                exhaustive Pareto sweep
-//! qor train    --out <dir> [--paper]          train the hierarchical model, save it
-//! qor predict  <file.c> --model <dir>         source-to-post-route prediction
+//! qor train    --out <m.qorckpt> [--paper]    train the hierarchical model, save it
+//! qor predict  <file.c> --model <m.qorckpt>   source-to-post-route prediction
 //! ```
 //!
 //! Files are HLS-C; bare names resolve against the bundled kernel suite.
@@ -195,7 +195,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
 }
 
 fn cmd_train(args: &[String]) -> CliResult {
-    let out = value_of(args, "--out").ok_or("usage: qor train --out <dir> [--paper]")?;
+    let out = value_of(args, "--out").ok_or("usage: qor train --out <m.qorckpt> [--paper]")?;
     let opts = if args.iter().any(|a| a == "--paper") {
         TrainOptions::paper()
     } else {
@@ -215,22 +215,16 @@ fn cmd_train(args: &[String]) -> CliResult {
         stats.global.ff_mape,
         stats.global.dsp_mape,
     );
-    model.save(out)?;
+    serve::save_model_file(out, &model)?;
     println!("model saved to {out}");
     Ok(())
 }
 
 fn cmd_predict(args: &[String]) -> CliResult {
-    let spec = positional(args).ok_or("usage: qor predict <file.c|kernel> --model <dir>")?;
-    let dir = value_of(args, "--model").ok_or("missing --model <dir>")?;
+    let spec = positional(args).ok_or("usage: qor predict <file.c|kernel> --model <m.qorckpt>")?;
+    let path = value_of(args, "--model").ok_or("missing --model <m.qorckpt>")?;
     let func = load_function(spec)?;
-    let opts = if args.iter().any(|a| a == "--paper") {
-        TrainOptions::paper()
-    } else {
-        TrainOptions::quick()
-    };
-    let mut model = HierarchicalModel::new(&opts);
-    model.load(dir)?;
+    let model = serve::load_model_file(path)?;
     let cfg = func.source_pragmas.clone();
     let q = model.predict(&func, &cfg);
     println!(

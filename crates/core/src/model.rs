@@ -4,13 +4,15 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use cdfg::{GraphBuilder, GraphOptions, SuperFeatures};
-use gnn::{mape, Batch, ConvKind, Encoder, EncoderConfig, GraphData, Mlp, Normalizer};
+use gnn::{
+    mape, train_regression, Batch, ConvKind, Encoder, EncoderConfig, GraphData, Mlp, Normalizer,
+    Regressor, TrainConfig,
+};
 use hir::Function;
 use hlsim::Qor;
 use pragma::{LoopId, PragmaConfig};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use tensor::{AdamConfig, GradSet, Matrix, ParamStore, Tape, Var};
+use tensor::{ParamStore, Tape, Var};
 
 use crate::condensed::{array_partitions, CondensedSlot, CondensedSpec};
 use crate::dataset::{self, DataOptions, DesignSample, LabeledDesigns};
@@ -254,9 +256,13 @@ impl InnerModel {
             encoder,
         }
     }
+}
 
-    /// Returns `(il, latency, resources)` prediction vars (log space).
-    fn forward(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> (Var, Var, Var) {
+impl Regressor for InnerModel {
+    const LATENCY_COL: usize = 1;
+
+    /// The `[il, latency, resources]` heads (log space).
+    fn heads(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Vec<Var> {
         let pooled = self.encoder.forward_pooled(store, t, batch);
         let gf = t.leaf(batch.g_feats.clone());
         let pooled_gf = t.concat_cols(&[pooled, gf]);
@@ -264,7 +270,7 @@ impl InnerModel {
         let lat_in = t.concat_cols(&[il, gf]);
         let lat = self.head_lat.forward(store, t, lat_in);
         let res = self.head_res.forward(store, t, pooled_gf);
-        (il, lat, res)
+        vec![il, lat, res]
     }
 }
 
@@ -286,34 +292,27 @@ impl GlobalModel {
             encoder,
         }
     }
+}
 
-    fn forward(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> (Var, Var) {
+impl Regressor for GlobalModel {
+    /// The `[latency, resources]` heads (log space).
+    fn heads(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Vec<Var> {
         let pooled = self.encoder.forward_pooled(store, t, batch);
         let gf = t.leaf(batch.g_feats.clone());
         let pooled_gf = t.concat_cols(&[pooled, gf]);
-        (
+        vec![
             self.head_lat.forward(store, t, pooled_gf),
             self.head_res.forward(store, t, pooled_gf),
-        )
+        ]
     }
 }
 
 // --------------------------------------------------------------- samples
 
-/// Inner-hierarchy training sample: subgraph + loop features + log targets
-/// `[il, latency, lut, ff, dsp]`.
-#[derive(Debug, Clone)]
-struct InnerSample {
-    graph: GraphData,
-    y: [f32; 5],
-}
-
-#[derive(Debug, Clone)]
-struct GlobalSample {
-    graph: GraphData,
-    /// `[latency, lut, ff, dsp]` in log space.
-    y: [f32; 4],
-}
+/// A training or test sample: a graph and its log-space targets, `[il,
+/// latency, lut, ff, dsp]` for an inner region (subgraph + loop features)
+/// and `[latency, lut, ff, dsp]` for a whole design (condensed graph).
+type Sample = (GraphData, Vec<f32>);
 
 /// Stable checkpoint bank names, in serialization order: `GNN_p`,
 /// `GNN_np`, `GNN_g`.
@@ -584,78 +583,78 @@ impl HierarchicalModel {
         // (an inner region already seen in training must not re-appear in
         // the test set)
         let mut seen = HashSet::new();
-        let (p_train, np_train) = self.inner_samples(designs, &designs.train, &mut seen)?;
+        let (mut p_train, mut np_train) = self.inner_samples(designs, &designs.train, &mut seen)?;
         let (p_val, np_val) = self.inner_samples(designs, &designs.val, &mut seen)?;
         let (p_test, np_test) = self.inner_samples(designs, &designs.test, &mut seen)?;
-
-        // 2. fit target normalizers, train GNN_p and GNN_np, then freeze
-        self.norm_p = Normalizer::fit(&p_train.iter().map(|s| s.y.to_vec()).collect::<Vec<_>>());
-        self.norm_np = Normalizer::fit(&np_train.iter().map(|s| s.y.to_vec()).collect::<Vec<_>>());
-        let mut rng = tensor::init::seeded_rng(opts.seed ^ 0xabcd);
-        if opts.shared_inner {
-            // ablation: one model for all inner loops (both dispatch paths
-            // share the same trained weights)
-            let combined: Vec<InnerSample> =
-                p_train.iter().chain(np_train.iter()).cloned().collect();
-            self.norm_p =
-                Normalizer::fit(&combined.iter().map(|s| s.y.to_vec()).collect::<Vec<_>>());
-            self.norm_np = self.norm_p.clone();
-            train_inner(
-                &mut self.store_p,
-                &self.model_p,
-                &combined,
-                &self.norm_p,
-                &opts,
-                &mut rng,
-                "GNN_shared",
-            );
-            // np inference routes through the shared model (see
-            // `inner_model_for`); nothing to copy
-        } else {
-            train_inner(
-                &mut self.store_p,
-                &self.model_p,
-                &p_train,
-                &self.norm_p,
-                &opts,
-                &mut rng,
-                "GNN_p",
-            );
-            train_inner(
-                &mut self.store_np,
-                &self.model_np,
-                &np_train,
-                &self.norm_np,
-                &opts,
-                &mut rng,
-                "GNN_np",
-            );
-        }
-        let _ = (&p_val, &np_val); // early stopping is handled by epochs here
-
-        // 3. global dataset from frozen inner predictions
-        let g_train = self.global_samples(designs, &designs.train)?;
-        let g_test = self.global_samples(designs, &designs.test)?;
-        self.norm_g = Normalizer::fit(&g_train.iter().map(|s| s.y.to_vec()).collect::<Vec<_>>());
-        train_global(
-            &mut self.store_g,
-            &self.model_g,
-            &g_train,
-            &self.norm_g,
-            &opts,
-            &mut rng,
+        let dataset_sizes = (
+            p_train.len() + p_test.len() + p_val.len(),
+            np_train.len() + np_test.len() + np_val.len(),
+            designs.len(),
         );
 
-        let (np_store, np_model, np_norm) = self.inner_model_for(false);
+        // 2. standardize the targets, train GNN_p and GNN_np, then freeze
+        let train_cfg = |epochs| TrainConfig {
+            epochs,
+            batch_size: opts.batch_size,
+            lr: opts.lr,
+            weight_decay: 0.0,
+            log_every: opts.log_every,
+        };
+        let inner_cfg = train_cfg(opts.inner_epochs);
+        let mut rng = tensor::init::seeded_rng(opts.seed ^ 0xabcd);
+        if opts.shared_inner {
+            // ablation: one model for all inner loops (np inference routes
+            // through it, see `inner_model_for`)
+            p_train.append(&mut np_train);
+            self.norm_p = Normalizer::fit_targets(&mut p_train);
+            self.norm_np = self.norm_p.clone();
+            let (store, model) = (&mut self.store_p, &self.model_p);
+            train_regression("GNN_shared", store, model, &p_train, &inner_cfg, &mut rng);
+        } else {
+            self.norm_p = Normalizer::fit_targets(&mut p_train);
+            self.norm_np = Normalizer::fit_targets(&mut np_train);
+            let (store, model) = (&mut self.store_p, &self.model_p);
+            train_regression("GNN_p", store, model, &p_train, &inner_cfg, &mut rng);
+            let (store, model) = (&mut self.store_np, &self.model_np);
+            train_regression("GNN_np", store, model, &np_train, &inner_cfg, &mut rng);
+        }
+
+        // 3. global dataset from frozen inner predictions
+        let mut g_train = self.global_samples(designs, &designs.train)?;
+        let g_test = self.global_samples(designs, &designs.test)?;
+        self.norm_g = Normalizer::fit_targets(&mut g_train);
+        let g_cfg = train_cfg(opts.global_epochs);
+        let (store, model) = (&mut self.store_g, &self.model_g);
+        train_regression("GNN_g", store, model, &g_train, &g_cfg, &mut rng);
+
+        let inner_eval = |tag, pipelined, test: &[Sample]| {
+            let (store, model, norm) = self.inner_model_for(pipelined);
+            let [il_mape, latency_mape, lut_mape, ff_mape, dsp_mape] =
+                eval(tag, store, model, norm, test);
+            InnerEval {
+                il_mape,
+                latency_mape,
+                lut_mape,
+                ff_mape,
+                dsp_mape,
+                n: test.len(),
+            }
+        };
+        let pipelined = inner_eval("GNN_p", true, &p_test);
+        let non_pipelined = inner_eval("GNN_np", false, &np_test);
+        let [latency_mape, lut_mape, ff_mape, dsp_mape] =
+            eval("GNN_g", &self.store_g, &self.model_g, &self.norm_g, &g_test);
         Ok(TrainStats {
-            pipelined: self.eval_inner(&self.store_p, &self.model_p, &self.norm_p, &p_test),
-            non_pipelined: self.eval_inner(np_store, np_model, np_norm, &np_test),
-            global: self.eval_global(&g_test),
-            dataset_sizes: (
-                p_train.len() + p_test.len() + p_val.len(),
-                np_train.len() + np_test.len() + np_val.len(),
-                designs.len(),
-            ),
+            pipelined,
+            non_pipelined,
+            global: GlobalEval {
+                latency_mape,
+                lut_mape,
+                ff_mape,
+                dsp_mape,
+                n: g_test.len(),
+            },
+            dataset_sizes,
         })
     }
 
@@ -877,17 +876,8 @@ impl HierarchicalModel {
     /// de-normalised: `[il, latency, lut, ff, dsp]` in log space.
     fn inner_outputs(&self, pi: &PreparedInner) -> [f32; 5] {
         let (store, model, norm) = self.inner_model_for(pi.pipelined);
-        let batch = Batch::from_graphs(&[&pi.data], true);
-        let mut t = Tape::new();
-        let (il, lat, res) = model.forward(store, &mut t, &batch);
-        let resm = t.value(res).clone();
-        let mut y = [
-            t.value(il)[(0, 0)],
-            t.value(lat)[(0, 0)],
-            resm[(0, 0)],
-            resm[(0, 1)],
-            resm[(0, 2)],
-        ];
+        let out = model.outputs(store, &Batch::from_graphs(&[&pi.data], true));
+        let mut y: [f32; 5] = out.row(0).try_into().expect("five inner outputs");
         norm.inverse(&mut y);
         y
     }
@@ -904,16 +894,10 @@ impl HierarchicalModel {
     ) -> DesignForward {
         let (supers, inner_hits) = self.supers_of(inner, token);
         let (data, built_skeleton) = condensed.graph(func, &supers);
-        let batch = Batch::from_graph(data, true);
-        let mut t = Tape::new();
-        let (lat, res) = self.model_g.forward(&self.store_g, &mut t, &batch);
-        let resm = t.value(res).clone();
-        let mut y = [
-            t.value(lat)[(0, 0)],
-            resm[(0, 0)],
-            resm[(0, 1)],
-            resm[(0, 2)],
-        ];
+        let out = self
+            .model_g
+            .outputs(&self.store_g, &Batch::from_graph(data, true));
+        let mut y: [f32; 4] = out.row(0).try_into().expect("four global outputs");
         self.norm_g.inverse(&mut y);
         let qor = Qor {
             latency: expm1(y[0]).round() as u64,
@@ -999,78 +983,6 @@ impl HierarchicalModel {
         }
     }
 
-    /// Saves the three parameter stores and target normalizers to a
-    /// directory (created if needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error.
-    pub fn save(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        for (name, store) in [
-            ("gnn_p.params", &self.store_p),
-            ("gnn_np.params", &self.store_np),
-            ("gnn_g.params", &self.store_g),
-        ] {
-            let mut f = std::fs::File::create(dir.join(name))?;
-            store.save(&mut f)?;
-        }
-        let mut norms = String::new();
-        for (tag, norm) in [
-            ("p", &self.norm_p),
-            ("np", &self.norm_np),
-            ("g", &self.norm_g),
-        ] {
-            norms.push_str(tag);
-            for v in norm.mean().iter().chain(norm.std()) {
-                norms.push_str(&format!(" {v}"));
-            }
-            norms.push('\n');
-        }
-        std::fs::write(dir.join("normalizers.txt"), norms)
-    }
-
-    /// Restores parameters and normalizers saved by
-    /// [`HierarchicalModel::save`] into a model built with the **same**
-    /// [`TrainOptions`] architecture.
-    ///
-    /// # Errors
-    ///
-    /// Returns filesystem or format errors (including architecture
-    /// mismatches).
-    pub fn load(&mut self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::BufReader;
-        let dir = dir.as_ref();
-        for (name, store) in [
-            ("gnn_p.params", &mut self.store_p),
-            ("gnn_np.params", &mut self.store_np),
-            ("gnn_g.params", &mut self.store_g),
-        ] {
-            let f = std::fs::File::open(dir.join(name))?;
-            store.load(BufReader::new(f))?;
-        }
-        let text = std::fs::read_to_string(dir.join("normalizers.txt"))?;
-        let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad normalizer file");
-        for line in text.lines() {
-            let mut it = line.split_whitespace();
-            let tag = it.next().ok_or_else(bad)?;
-            let vals: Vec<f32> = it.filter_map(|v| v.parse().ok()).collect();
-            if !vals.len().is_multiple_of(2) || vals.is_empty() {
-                return Err(bad());
-            }
-            let width = vals.len() / 2;
-            let norm = Normalizer::from_stats(vals[..width].to_vec(), vals[width..].to_vec());
-            match tag {
-                "p" => self.norm_p = norm,
-                "np" => self.norm_np = norm,
-                "g" => self.norm_g = norm,
-                _ => return Err(bad()),
-            }
-        }
-        Ok(())
-    }
-
     // -------------------------------------------------------- internals
 
     fn inner_samples(
@@ -1078,7 +990,7 @@ impl HierarchicalModel {
         designs: &LabeledDesigns,
         subset: &[DesignSample],
         seen: &mut HashSet<u64>,
-    ) -> Result<(Vec<InnerSample>, Vec<InnerSample>), QorError> {
+    ) -> Result<(Vec<Sample>, Vec<Sample>), QorError> {
         let mut p = Vec::new();
         let mut np = Vec::new();
         for sample in subset {
@@ -1099,16 +1011,16 @@ impl HierarchicalModel {
                     inner.pipelined,
                     self.opts.graph_options(),
                 );
-                let s = InnerSample {
-                    graph: prepared.data,
-                    y: [
+                let s = (
+                    prepared.data,
+                    vec![
                         log1p(lq.il as f64),
                         log1p(lq.qor.latency as f64),
                         log1p(lq.qor.lut as f64),
                         log1p(lq.qor.ff as f64),
                         log1p(lq.qor.dsp as f64),
                     ],
-                };
+                );
                 if inner.pipelined {
                     p.push(s);
                 } else {
@@ -1123,7 +1035,7 @@ impl HierarchicalModel {
         &self,
         designs: &LabeledDesigns,
         subset: &[DesignSample],
-    ) -> Result<Vec<GlobalSample>, QorError> {
+    ) -> Result<Vec<Sample>, QorError> {
         // inner inference per design is pure given the frozen inner models,
         // so the condensation sweep fans out
         par::try_map("core/global_samples", subset, |_, sample| {
@@ -1131,109 +1043,16 @@ impl HierarchicalModel {
             let (inner, condensed) = self.prepare_parts(func, &sample.config);
             let (supers, _) = self.supers_of(&inner, None);
             let (graph, _) = condensed.graph(func, &supers);
-            Ok(GlobalSample {
+            Ok((
                 graph,
-                y: [
+                vec![
                     log1p(sample.report.top.latency as f64),
                     log1p(sample.report.top.lut as f64),
                     log1p(sample.report.top.ff as f64),
                     log1p(sample.report.top.dsp as f64),
                 ],
-            })
+            ))
         })
-    }
-
-    fn eval_inner(
-        &self,
-        store: &ParamStore,
-        model: &InnerModel,
-        norm: &Normalizer,
-        test: &[InnerSample],
-    ) -> InnerEval {
-        if test.is_empty() {
-            return InnerEval::default();
-        }
-        let sp = obs::span("eval_inner");
-        sp.attr("samples", test.len());
-        let mut pred = vec![Vec::new(); 5];
-        let mut truth = vec![Vec::new(); 5];
-        for chunk in test.chunks(64) {
-            let graphs: Vec<&GraphData> = chunk.iter().map(|s| &s.graph).collect();
-            let batch = Batch::from_graphs(&graphs, true);
-            let mut t = Tape::new();
-            let (il, lat, res) = model.forward(store, &mut t, &batch);
-            let ilm = t.value(il).clone();
-            let latm = t.value(lat).clone();
-            let resm = t.value(res).clone();
-            for (r, s) in chunk.iter().enumerate() {
-                let mut outs = [
-                    ilm[(r, 0)],
-                    latm[(r, 0)],
-                    resm[(r, 0)],
-                    resm[(r, 1)],
-                    resm[(r, 2)],
-                ];
-                norm.inverse(&mut outs);
-                for m in 0..5 {
-                    pred[m].push(expm1(outs[m]) as f32);
-                    truth[m].push(expm1(s.y[m]) as f32);
-                }
-            }
-        }
-        InnerEval {
-            il_mape: mape(&pred[0], &truth[0]),
-            latency_mape: mape(&pred[1], &truth[1]),
-            lut_mape: mape(&pred[2], &truth[2]),
-            ff_mape: mape(&pred[3], &truth[3]),
-            dsp_mape: mape(&pred[4], &truth[4]),
-            n: test.len(),
-        }
-    }
-
-    fn eval_global(&self, test: &[GlobalSample]) -> GlobalEval {
-        if test.is_empty() {
-            return GlobalEval::default();
-        }
-        let sp = obs::span("eval_global");
-        sp.attr("samples", test.len());
-        let mut pred = vec![Vec::new(); 4];
-        let mut truth = vec![Vec::new(); 4];
-        for chunk in test.chunks(64) {
-            let graphs: Vec<&GraphData> = chunk.iter().map(|s| &s.graph).collect();
-            let batch = Batch::from_graphs(&graphs, true);
-            let mut t = Tape::new();
-            let (lat, res) = self.model_g.forward(&self.store_g, &mut t, &batch);
-            let latm = t.value(lat).clone();
-            let resm = t.value(res).clone();
-            for (r, s) in chunk.iter().enumerate() {
-                let mut outs = [latm[(r, 0)], resm[(r, 0)], resm[(r, 1)], resm[(r, 2)]];
-                self.norm_g.inverse(&mut outs);
-                for m in 0..4 {
-                    pred[m].push(expm1(outs[m]) as f32);
-                    truth[m].push(expm1(s.y[m]) as f32);
-                }
-            }
-        }
-        GlobalEval {
-            latency_mape: mape(&pred[0], &truth[0]),
-            lut_mape: mape(&pred[1], &truth[1]),
-            ff_mape: mape(&pred[2], &truth[2]),
-            dsp_mape: mape(&pred[3], &truth[3]),
-            n: test.len(),
-        }
-    }
-}
-
-/// Step learning-rate schedule: full rate for the first 60% of epochs,
-/// then 0.3x, then 0.1x for the final 15%.
-fn lr_decay(epoch: usize, total: usize) -> f32 {
-    let frac = (epoch as f32 + 0.5) / total.max(1) as f32;
-    if frac < 0.6 {
-        1.0
-    } else if frac < 0.85 {
-        0.3
-    } else {
-        0.1
     }
 }
 
@@ -1265,211 +1084,33 @@ fn region_key(func: &Function, cfg: &PragmaConfig, id: &LoopId, kernel: &str) ->
     h
 }
 
-fn train_inner(
-    store: &mut ParamStore,
-    model: &InnerModel,
-    train: &[InnerSample],
-    norm: &Normalizer,
-    opts: &TrainOptions,
-    rng: &mut StdRng,
+/// Test-set MAPE of each target column, de-normalised and back in linear
+/// space, in target-column order.
+fn eval<M: Regressor, const N: usize>(
     tag: &str,
-) {
-    if train.is_empty() {
-        return;
-    }
-    let sp = obs::span("train_inner");
-    sp.attr("model", tag);
-    sp.attr("samples", train.len());
-    sp.attr("epochs", opts.inner_epochs);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    for epoch in 0..opts.inner_epochs {
-        let adam = AdamConfig {
-            clip: 2.0,
-            ..AdamConfig::with_lr(opts.lr * lr_decay(epoch, opts.inner_epochs))
-        };
-        order.shuffle(rng);
-        let mut total = 0.0;
-        let mut batches = 0;
-        let mut ape_sum = 0.0f64;
-        let mut ape_n = 0usize;
-        for chunk in order.chunks(opts.batch_size.max(1)) {
-            // fixed micro-batch geometry: the same chunks are formed for any
-            // worker count, and losses/gradients are merged in chunk order,
-            // so the update is bit-identical to the sequential path
-            let micros: Vec<&[usize]> = chunk.chunks(gnn::MICRO_BATCH).collect();
-            let weight = chunk.len() as f32;
-            let shared: &ParamStore = store;
-            let parts = par::map("core/train_inner", &micros, |_, ids| {
-                let graphs: Vec<&GraphData> = ids.iter().map(|&i| &train[i].graph).collect();
-                let batch = Batch::from_graphs(&graphs, true);
-                let mut y_il = Matrix::zeros(ids.len(), 1);
-                let mut y_lat = Matrix::zeros(ids.len(), 1);
-                let mut y_res = Matrix::zeros(ids.len(), 3);
-                for (r, &i) in ids.iter().enumerate() {
-                    let mut y = train[i].y;
-                    norm.transform(&mut y);
-                    y_il[(r, 0)] = y[0];
-                    y_lat[(r, 0)] = y[1];
-                    y_res[(r, 0)] = y[2];
-                    y_res[(r, 1)] = y[3];
-                    y_res[(r, 2)] = y[4];
-                }
-                let mut t = Tape::new();
-                let (il, lat, res) = model.forward(shared, &mut t, &batch);
-                let t_il = t.leaf(y_il);
-                let t_lat = t.leaf(y_lat);
-                let t_res = t.leaf(y_res);
-                let l1 = t.mse(il, t_il);
-                let l2 = t.mse(lat, t_lat);
-                let l3 = t.mse(res, t_res);
-                let l12 = t.add(l1, l2);
-                let l123 = t.add(l12, l3);
-                let loss = t.scale(l123, ids.len() as f32 / weight);
-                let mut micro_ape = (0.0f64, 0usize);
-                if obs::collecting() {
-                    // per-epoch latency MAPE in normalized (log) space, from
-                    // the predictions already on the tape — free when obs is
-                    // off
-                    let latm = t.value(lat);
-                    let latt = t.value(t_lat);
-                    for r in 0..ids.len() {
-                        let truth = f64::from(latt[(r, 0)]);
-                        micro_ape.0 +=
-                            f64::from((latm[(r, 0)] - latt[(r, 0)]).abs()) / truth.abs().max(1e-6);
-                        micro_ape.1 += 1;
-                    }
-                }
-                t.backward(loss);
-                (t.value(loss).item(), micro_ape, shared.grads_of(&t))
-            });
-            let mut grads: Option<GradSet> = None;
-            for (l, (a_sum, a_n), g) in parts {
-                total += l;
-                ape_sum += a_sum;
-                ape_n += a_n;
-                match &mut grads {
-                    Some(acc) => acc.accumulate(&g),
-                    slot @ None => *slot = Some(g),
-                }
-            }
-            batches += 1;
-            if let Some(g) = grads {
-                store.adam_step_with(g, &adam);
-            }
-        }
-        let epoch_loss = total / batches.max(1) as f32;
-        obs::metrics::series_push(
-            &format!("train/{tag}/loss"),
-            epoch as u64,
-            f64::from(epoch_loss),
-        );
-        if ape_n > 0 {
-            obs::metrics::series_push(
-                &format!("train/{tag}/latency_mape"),
-                epoch as u64,
-                100.0 * ape_sum / ape_n as f64,
-            );
-        }
-        if opts.log_every > 0 && epoch % opts.log_every == 0 {
-            obs::tracef!(1, "{tag} epoch {epoch}: loss {epoch_loss:.4}");
-        }
-    }
-}
-
-fn train_global(
-    store: &mut ParamStore,
-    model: &GlobalModel,
-    train: &[GlobalSample],
+    store: &ParamStore,
+    model: &M,
     norm: &Normalizer,
-    opts: &TrainOptions,
-    rng: &mut StdRng,
-) {
-    if train.is_empty() {
-        return;
-    }
-    let sp = obs::span("train_global");
-    sp.attr("model", "GNN_g");
-    sp.attr("samples", train.len());
-    sp.attr("epochs", opts.global_epochs);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    for epoch in 0..opts.global_epochs {
-        let adam = AdamConfig {
-            clip: 2.0,
-            ..AdamConfig::with_lr(opts.lr * lr_decay(epoch, opts.global_epochs))
-        };
-        order.shuffle(rng);
-        let mut total = 0.0;
-        let mut batches = 0;
-        let mut ape_sum = 0.0f64;
-        let mut ape_n = 0usize;
-        for chunk in order.chunks(opts.batch_size.max(1)) {
-            // same fixed-geometry micro-batching as `train_inner`
-            let micros: Vec<&[usize]> = chunk.chunks(gnn::MICRO_BATCH).collect();
-            let weight = chunk.len() as f32;
-            let shared: &ParamStore = store;
-            let parts = par::map("core/train_global", &micros, |_, ids| {
-                let graphs: Vec<&GraphData> = ids.iter().map(|&i| &train[i].graph).collect();
-                let batch = Batch::from_graphs(&graphs, true);
-                let mut y_lat = Matrix::zeros(ids.len(), 1);
-                let mut y_res = Matrix::zeros(ids.len(), 3);
-                for (r, &i) in ids.iter().enumerate() {
-                    let mut y = train[i].y;
-                    norm.transform(&mut y);
-                    y_lat[(r, 0)] = y[0];
-                    y_res[(r, 0)] = y[1];
-                    y_res[(r, 1)] = y[2];
-                    y_res[(r, 2)] = y[3];
-                }
-                let mut t = Tape::new();
-                let (lat, res) = model.forward(shared, &mut t, &batch);
-                let t_lat = t.leaf(y_lat);
-                let t_res = t.leaf(y_res);
-                let l1 = t.mse(lat, t_lat);
-                let l2 = t.mse(res, t_res);
-                let l12 = t.add(l1, l2);
-                let loss = t.scale(l12, ids.len() as f32 / weight);
-                let mut micro_ape = (0.0f64, 0usize);
-                if obs::collecting() {
-                    let latm = t.value(lat);
-                    let latt = t.value(t_lat);
-                    for r in 0..ids.len() {
-                        let truth = f64::from(latt[(r, 0)]);
-                        micro_ape.0 +=
-                            f64::from((latm[(r, 0)] - latt[(r, 0)]).abs()) / truth.abs().max(1e-6);
-                        micro_ape.1 += 1;
-                    }
-                }
-                t.backward(loss);
-                (t.value(loss).item(), micro_ape, shared.grads_of(&t))
-            });
-            let mut grads: Option<GradSet> = None;
-            for (l, (a_sum, a_n), g) in parts {
-                total += l;
-                ape_sum += a_sum;
-                ape_n += a_n;
-                match &mut grads {
-                    Some(acc) => acc.accumulate(&g),
-                    slot @ None => *slot = Some(g),
-                }
-            }
-            batches += 1;
-            if let Some(g) = grads {
-                store.adam_step_with(g, &adam);
+    test: &[Sample],
+) -> [f32; N] {
+    let sp = obs::span("eval");
+    sp.attr("model", tag);
+    sp.attr("samples", test.len());
+    let mut pred = vec![Vec::new(); N];
+    let mut truth = vec![Vec::new(); N];
+    for chunk in test.chunks(64) {
+        let graphs: Vec<&GraphData> = chunk.iter().map(|(g, _)| g).collect();
+        let out = model.outputs(store, &Batch::from_graphs(&graphs, true));
+        for (r, (_, y)) in chunk.iter().enumerate() {
+            let mut row = out.row(r).to_vec();
+            norm.inverse(&mut row);
+            for (m, (&p, &t)) in row.iter().zip(y).enumerate() {
+                pred[m].push(expm1(p) as f32);
+                truth[m].push(expm1(t) as f32);
             }
         }
-        let epoch_loss = total / batches.max(1) as f32;
-        obs::metrics::series_push("train/GNN_g/loss", epoch as u64, f64::from(epoch_loss));
-        if ape_n > 0 {
-            obs::metrics::series_push(
-                "train/GNN_g/latency_mape",
-                epoch as u64,
-                100.0 * ape_sum / ape_n as f64,
-            );
-        }
-        if opts.log_every > 0 && epoch % opts.log_every == 0 {
-            obs::tracef!(1, "GNN_g epoch {epoch}: loss {epoch_loss:.4}");
-        }
     }
+    std::array::from_fn(|m| mape(&pred[m], &truth[m]))
 }
 
 #[cfg(test)]
@@ -1527,26 +1168,6 @@ mod tests {
         for inner in &hierarchy.inner {
             assert!(supers.contains_key(&inner.id));
         }
-    }
-
-    #[test]
-    fn save_load_roundtrip_preserves_predictions() {
-        let opts = tiny_opts();
-        let model = HierarchicalModel::new(&opts);
-        let func = kernels::lower_kernel("gemm").unwrap();
-        let cfg = PragmaConfig::default();
-        let before = model.predict(&func, &cfg);
-
-        let dir = std::env::temp_dir().join("hier_hls_qor_model_test");
-        model.save(&dir).unwrap();
-        let mut restored = HierarchicalModel::new(&TrainOptions {
-            seed: 99, // different init; load must overwrite it
-            ..opts
-        });
-        restored.load(&dir).unwrap();
-        let after = restored.predict(&func, &cfg);
-        assert_eq!(before, after);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -243,8 +243,8 @@ impl Lru {
 }
 
 /// The memoization store behind one or more [`Session`]s: an LRU map of
-/// kernels, each with its own query database (see the
-/// [module docs](self)).
+/// kernels, each with its own query database (see the `session` module
+/// docs).
 ///
 /// Create one with [`SharedCache::new`] / [`SharedCache::with_capacity`]
 /// and hand clones of the `Arc` to [`Session::with_shared`]; every session
@@ -417,8 +417,8 @@ impl SharedCache {
     }
 }
 
-/// A loaded model plus memoized inference front halves (see the
-/// [module docs](self)).
+/// A loaded model plus memoized inference front halves (see the `session`
+/// module docs).
 pub struct Session {
     model: HierarchicalModel,
     /// Folds the prepare-affecting model options into cache keys, so

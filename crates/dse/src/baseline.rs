@@ -8,7 +8,7 @@ use hir::Function;
 use hlsim::Qor;
 use pragma::{LoopId, PragmaConfig};
 use qor_core::{graph_aggregates, graph_to_gnn, GlobalEval, QorError, AGG_DIM, FEATURE_DIM};
-use tensor::{Matrix, ParamStore};
+use tensor::{init, Matrix, ParamStore};
 
 /// Which labels the baseline trains on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +73,8 @@ const PRAGMA_FEATURE_COLS: usize = 6;
 ///   with pragmas as node features, trained on post-HLS labels.
 #[derive(Debug)]
 pub struct FlatGnnBaseline {
+    /// Names the training series, `train/<name>/loss`.
+    name: &'static str,
     store: ParamStore,
     model: RegressionModel,
     opts: BaselineOptions,
@@ -107,6 +109,7 @@ impl FlatGnnBaseline {
             opts.seed,
         );
         FlatGnnBaseline {
+            name: "flat_gnn",
             store,
             model,
             opts,
@@ -119,23 +122,37 @@ impl FlatGnnBaseline {
 
     /// Wu et al. \[8\] for the accuracy comparison (Table IV).
     pub fn wu_accuracy(opts: BaselineOptions) -> Self {
-        Self::with_config(opts, false, false, LabelSpace::PostRoute)
+        Self {
+            name: "wu_accuracy",
+            ..Self::with_config(opts, false, false, LabelSpace::PostRoute)
+        }
     }
 
     /// Wu et al. \[8\] for DSE (Table V) — HLS-IR-fed graphs.
     pub fn wu_dse(opts: BaselineOptions) -> Self {
-        Self::with_config(opts, true, false, LabelSpace::PostRoute)
+        Self {
+            name: "wu_dse",
+            ..Self::with_config(opts, true, false, LabelSpace::PostRoute)
+        }
     }
 
     /// GNN-DSE \[6\] — pragma features, post-HLS labels.
     pub fn gnn_dse(opts: BaselineOptions) -> Self {
-        Self::with_config(opts, false, true, LabelSpace::PostHls)
+        Self {
+            name: "gnn_dse",
+            ..Self::with_config(opts, false, true, LabelSpace::PostHls)
+        }
     }
 
     /// Whether this baseline requires an HLS run per inference (true for
     /// the HLS-IR-fed variant), for DSE time accounting.
     pub fn needs_hls(&self) -> bool {
         self.structural_pragmas
+    }
+
+    /// The trained weights.
+    pub fn params(&self) -> &ParamStore {
+        &self.store
     }
 
     /// Builds this baseline's graph representation of a configured design.
@@ -222,23 +239,22 @@ impl FlatGnnBaseline {
             .iter()
             .map(to_sample)
             .collect::<Result<_, QorError>>()?;
-        let mut val: Vec<_> = designs
-            .val
-            .iter()
-            .map(to_sample)
-            .collect::<Result<_, QorError>>()?;
-        self.norm = Normalizer::fit(&train.iter().map(|(_, y)| y.clone()).collect::<Vec<_>>());
-        for (_, y) in train.iter_mut().chain(val.iter_mut()) {
-            self.norm.transform(y);
-        }
+        self.norm = Normalizer::fit_targets(&mut train);
         let cfg = TrainConfig {
             epochs: self.opts.epochs,
             batch_size: self.opts.batch_size,
             lr: self.opts.lr,
-            seed: self.opts.seed,
             ..TrainConfig::default()
         };
-        train_regression(&mut self.store, &self.model, &train, &val, &cfg);
+        let mut rng = init::seeded_rng(self.opts.seed);
+        train_regression(
+            self.name,
+            &mut self.store,
+            &self.model,
+            &train,
+            &cfg,
+            &mut rng,
+        );
         Ok(())
     }
 

@@ -41,4 +41,4 @@ pub use graph::{Batch, GcnEdges, GraphData};
 pub use layers::{Linear, Mlp};
 pub use metrics::{mape, r_squared, rmse};
 pub use norm::Normalizer;
-pub use trainer::{train_regression, RegressionModel, TrainConfig, TrainReport, MICRO_BATCH};
+pub use trainer::{train_regression, RegressionModel, Regressor, TrainConfig, MICRO_BATCH};

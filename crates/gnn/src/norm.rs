@@ -62,6 +62,16 @@ impl Normalizer {
         Normalizer { mean, std }
     }
 
+    /// Fits a normalizer to the target rows of `samples` and standardizes
+    /// those rows in place.
+    pub fn fit_targets<G>(samples: &mut [(G, Vec<f32>)]) -> Self {
+        let norm = Normalizer::fit(&samples.iter().map(|(_, y)| y.clone()).collect::<Vec<_>>());
+        for (_, y) in samples.iter_mut() {
+            norm.transform(y);
+        }
+        norm
+    }
+
     /// Builds a normalizer from explicit statistics.
     ///
     /// # Panics

@@ -1,4 +1,6 @@
-//! Generic graph-regression model and training loop.
+//! Generic graph-regression model and the one training loop every model
+//! in the workspace runs: `GNN_p`, `GNN_np`, `GNN_g` and the flat
+//! baselines.
 //!
 //! Training is data-parallel over fixed-width micro-batches: each optimizer
 //! step splits its mini-batch into [`MICRO_BATCH`]-sized slices, runs
@@ -8,6 +10,7 @@
 //! worker count — losses and weights are bit-identical for any
 //! `QOR_THREADS` setting.
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use tensor::{init, AdamConfig, GradSet, Matrix, ParamStore, Tape, Var};
@@ -15,13 +18,38 @@ use tensor::{init, AdamConfig, GradSet, Matrix, ParamStore, Tape, Var};
 use crate::convs::{Encoder, EncoderConfig};
 use crate::graph::{Batch, GraphData};
 use crate::layers::Mlp;
-use crate::metrics::mape;
+
+/// A model [`train_regression`] can fit: a forward pass with one
+/// prediction per head, in target-column order.
+///
+/// A head's width is its number of target columns, and the widths of all
+/// heads sum to the target width.
+pub trait Regressor: Sync {
+    /// The target column whose training-set MAPE (in normalised space) is
+    /// recorded per epoch as the `train/<tag>/latency_mape` series.
+    const LATENCY_COL: usize = 0;
+
+    /// Forward pass: one `[n_graphs, width]` variable per head.
+    fn heads(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Vec<Var>;
+
+    /// Inference without gradient tracking: every head's output side by
+    /// side, `[n_graphs, target width]`.
+    fn outputs(&self, store: &ParamStore, batch: &Batch) -> Matrix {
+        let mut t = Tape::new();
+        let heads = self.heads(store, &mut t, batch);
+        let out = match heads[..] {
+            [one] => one,
+            _ => t.concat_cols(&heads),
+        };
+        t.value(out).clone()
+    }
+}
 
 /// Encoder + MLP head predicting a fixed-size vector per graph.
 ///
 /// The pooled graph embedding is concatenated with the batch's graph-level
-/// features (if any) before the head — this is how loop-level features such
-/// as II and TC enter the latency models.
+/// features (if any) before the head — this is how loop-level features
+/// such as II and TC enter the latency models.
 #[derive(Debug, Clone)]
 pub struct RegressionModel {
     encoder: Encoder,
@@ -73,10 +101,7 @@ impl RegressionModel {
 
     /// Convenience inference over a slice of graphs (no gradient tracking).
     pub fn predict(&self, store: &ParamStore, graphs: &[&GraphData]) -> Matrix {
-        let batch = Batch::from_graphs(graphs, true);
-        let mut t = Tape::new();
-        let out = self.forward(store, &mut t, &batch);
-        t.value(out).clone()
+        self.outputs(store, &Batch::from_graphs(graphs, true))
     }
 
     /// The underlying encoder.
@@ -87,6 +112,12 @@ impl RegressionModel {
     /// Number of regression outputs.
     pub fn out_dim(&self) -> usize {
         self.head.out_dim()
+    }
+}
+
+impl Regressor for RegressionModel {
+    fn heads(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Vec<Var> {
+        vec![self.forward(store, t, batch)]
     }
 }
 
@@ -101,11 +132,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// AdamW weight decay.
     pub weight_decay: f32,
-    /// Shuffling seed.
-    pub seed: u64,
-    /// Stop early after this many epochs without validation improvement
-    /// (`0` disables early stopping).
-    pub patience: usize,
     /// Print a progress line every N epochs (`0` silences).
     pub log_every: usize,
 }
@@ -117,25 +143,9 @@ impl Default for TrainConfig {
             batch_size: 32,
             lr: 3e-3,
             weight_decay: 1e-5,
-            seed: 0,
-            patience: 0,
             log_every: 0,
         }
     }
-}
-
-/// Summary of a training run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainReport {
-    /// Final training loss (MSE in model space).
-    pub final_loss: f32,
-    /// Best validation MAPE observed (percent, model space).
-    pub best_val_mape: f32,
-    /// Epochs actually run.
-    pub epochs_run: usize,
-    /// Mean training loss of every epoch, in order (the determinism
-    /// contract's witness: bit-identical across `QOR_THREADS` settings).
-    pub epoch_losses: Vec<f32>,
 }
 
 /// Fixed micro-batch width for data-parallel gradient computation.
@@ -145,179 +155,154 @@ pub struct TrainReport {
 /// with the worker count.
 pub const MICRO_BATCH: usize = 8;
 
-/// One optimizer step over `chunk` (indices into `train`): micro-batched
-/// data-parallel forward/backward, ordered gradient accumulation, one Adam
-/// update. Returns the batch loss.
-fn step_minibatch(
-    store: &mut ParamStore,
-    model: &RegressionModel,
-    train: &[(GraphData, Vec<f32>)],
-    chunk: &[usize],
-    out_dim: usize,
-    adam: &AdamConfig,
-) -> f32 {
-    let micros: Vec<&[usize]> = chunk.chunks(MICRO_BATCH).collect();
-    let total = chunk.len() as f32;
-    let shared: &ParamStore = store;
-    let parts: Vec<(f32, GradSet)> = par::map("train/micro_batch", &micros, |_, ids| {
-        let graphs: Vec<&GraphData> = ids.iter().map(|&i| &train[i].0).collect();
-        let batch = Batch::from_graphs(&graphs, true);
-        let mut targets = Matrix::zeros(ids.len(), out_dim);
-        for (r, &i) in ids.iter().enumerate() {
-            targets.row_mut(r).copy_from_slice(&train[i].1);
-        }
-        let mut t = Tape::new();
-        let pred = model.forward(shared, &mut t, &batch);
-        let tv = t.leaf(targets);
-        let mse = t.mse(pred, tv);
-        // weight so the micro losses sum to the mini-batch MSE
-        let loss = t.scale(mse, ids.len() as f32 / total);
-        t.backward(loss);
-        (t.value(loss).item(), shared.grads_of(&t))
-    });
-    let mut batch_loss = 0.0f32;
-    let mut grads: Option<GradSet> = None;
-    for (l, g) in parts {
-        batch_loss += l;
-        match &mut grads {
-            Some(acc) => acc.accumulate(&g),
-            slot @ None => *slot = Some(g),
-        }
+/// Step learning-rate schedule: full rate for the first 60% of epochs,
+/// then 0.3x, then 0.1x for the final 15%.
+fn lr_decay(epoch: usize, total: usize) -> f32 {
+    let frac = (epoch as f32 + 0.5) / total.max(1) as f32;
+    if frac < 0.6 {
+        1.0
+    } else if frac < 0.85 {
+        0.3
+    } else {
+        0.1
     }
-    if let Some(g) = grads {
-        store.adam_step_with(g, adam);
-    }
-    batch_loss
 }
 
-/// Trains `model` on `(graph, target-vector)` pairs with MSE loss.
+/// Trains `model` on `(graph, target row)` pairs: per-head MSE, Adam with
+/// gradient clipping at 2.0 under the step learning-rate schedule, and
+/// `rng` shuffling the samples every epoch.
 ///
-/// Targets are used as-is: callers that want log-space training (as the QoR
-/// pipeline does) transform targets before calling and predictions after.
+/// Targets are used as-is: callers that want log-space or standardized
+/// training (as the QoR pipeline does) transform them before calling.
+/// Each epoch's mean loss is recorded as the `train/<tag>/loss` series.
 ///
 /// # Panics
 ///
-/// Panics if `train` is empty or target widths mismatch the model output.
-pub fn train_regression(
+/// Panics if a target row's width differs from the model's heads.
+pub fn train_regression<M: Regressor>(
+    tag: &str,
     store: &mut ParamStore,
-    model: &RegressionModel,
-    train: &[(GraphData, Vec<f32>)],
-    val: &[(GraphData, Vec<f32>)],
+    model: &M,
+    data: &[(GraphData, Vec<f32>)],
     cfg: &TrainConfig,
-) -> TrainReport {
-    assert!(!train.is_empty(), "empty training set");
-    let sp = obs::span("train_regression");
-    sp.attr("samples", train.len());
-    sp.attr("val_samples", val.len());
-    sp.attr("epochs", cfg.epochs);
-    sp.attr("batch_size", cfg.batch_size);
-    let out_dim = model.out_dim();
-    for (_, y) in train.iter().chain(val) {
-        assert_eq!(y.len(), out_dim, "target width mismatch");
+    rng: &mut StdRng,
+) {
+    if data.is_empty() {
+        return;
     }
-
-    let mut rng = init::seeded_rng(cfg.seed);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut best_val = f32::INFINITY;
-    let mut stall = 0usize;
-    let mut final_loss = f32::NAN;
-    let mut epochs_run = 0;
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-
+    let sp = obs::span("train");
+    sp.attr("model", tag);
+    sp.attr("samples", data.len());
+    sp.attr("epochs", cfg.epochs);
+    let mut order: Vec<usize> = (0..data.len()).collect();
     for epoch in 0..cfg.epochs {
-        // step LR schedule: 1x -> 0.3x -> 0.1x, with gradient clipping
-        let frac = (epoch as f32 + 0.5) / cfg.epochs.max(1) as f32;
-        let decay = if frac < 0.6 {
-            1.0
-        } else if frac < 0.85 {
-            0.3
-        } else {
-            0.1
-        };
         let adam = AdamConfig {
-            lr: cfg.lr * decay,
+            lr: cfg.lr * lr_decay(epoch, cfg.epochs),
             weight_decay: cfg.weight_decay,
             clip: 2.0,
             ..AdamConfig::default()
         };
-        epochs_run = epoch + 1;
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            epoch_loss += step_minibatch(store, model, train, chunk, out_dim, &adam);
+        order.shuffle(rng);
+        let mut total = 0.0;
+        let mut batches = 0;
+        let (mut ape_sum, mut ape_n) = (0.0f64, 0usize);
+        for batch in order.chunks(cfg.batch_size.max(1)) {
+            // fixed micro-batch geometry: the same slices are formed for
+            // any worker count, and losses/gradients are merged in slice
+            // order, so the update is bit-identical to the sequential path
+            let micros: Vec<&[usize]> = batch.chunks(MICRO_BATCH).collect();
+            let weight = batch.len() as f32;
+            let shared: &ParamStore = store;
+            let parts = par::map("gnn/train", &micros, |_, ids| {
+                micro_step(shared, model, data, ids, weight)
+            });
+            let mut grads: Option<GradSet> = None;
+            for (l, (a_sum, a_n), g) in parts {
+                total += l;
+                ape_sum += a_sum;
+                ape_n += a_n;
+                match &mut grads {
+                    Some(acc) => acc.accumulate(&g),
+                    slot @ None => *slot = Some(g),
+                }
+            }
             batches += 1;
+            if let Some(g) = grads {
+                store.adam_step_with(g, &adam);
+            }
         }
-        final_loss = epoch_loss / batches.max(1) as f32;
-        epoch_losses.push(final_loss);
-        obs::metrics::series_push("train/loss", epoch as u64, f64::from(final_loss));
-
-        if !val.is_empty() {
-            let vm = eval_mape(store, model, val);
-            obs::metrics::series_push("train/val_mape", epoch as u64, f64::from(vm));
-            if vm < best_val - 1e-4 {
-                best_val = vm;
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if cfg.log_every > 0 && epoch % cfg.log_every == 0 {
-                obs::tracef!(
-                    1,
-                    "epoch {epoch}: train_mse={final_loss:.5} val_mape={vm:.2}%"
-                );
-            }
-            if cfg.patience > 0 && stall >= cfg.patience {
-                break;
-            }
-        } else if cfg.log_every > 0 && epoch % cfg.log_every == 0 {
-            obs::tracef!(1, "epoch {epoch}: train_mse={final_loss:.5}");
+        let epoch_loss = total / batches.max(1) as f32;
+        let step = epoch as u64;
+        obs::metrics::series_push(&format!("train/{tag}/loss"), step, f64::from(epoch_loss));
+        if ape_n > 0 {
+            let mape = 100.0 * ape_sum / ape_n as f64;
+            obs::metrics::series_push(&format!("train/{tag}/latency_mape"), step, mape);
         }
-    }
-    sp.attr("epochs_run", epochs_run);
-
-    TrainReport {
-        final_loss,
-        best_val_mape: if val.is_empty() { f32::NAN } else { best_val },
-        epochs_run,
-        epoch_losses,
+        if cfg.log_every > 0 && epoch % cfg.log_every == 0 {
+            obs::tracef!(1, "{tag} epoch {epoch}: loss {epoch_loss:.4}");
+        }
     }
 }
 
-/// Model-space MAPE of `model` over a labeled set.
-pub fn eval_mape(
+/// Forward and backward over one micro-batch: the summed per-head MSE,
+/// weighted by the micro-batch's share of its mini-batch so the micro
+/// losses sum to the mini-batch loss. Returns that loss, the latency
+/// column's absolute-percentage-error sum and count (only while obs
+/// collects), and the gradients.
+fn micro_step<M: Regressor>(
     store: &ParamStore,
-    model: &RegressionModel,
+    model: &M,
     data: &[(GraphData, Vec<f32>)],
-) -> f32 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let chunks: Vec<&[(GraphData, Vec<f32>)]> = data.chunks(64).collect();
-    let parts = par::map("gnn/eval_mape", &chunks, |_, chunk| {
-        let graphs: Vec<&GraphData> = chunk.iter().map(|(g, _)| g).collect();
-        let out = model.predict(store, &graphs);
-        let mut preds = Vec::new();
-        let mut targets = Vec::new();
-        for (r, (_, y)) in chunk.iter().enumerate() {
-            preds.extend_from_slice(out.row(r));
-            targets.extend_from_slice(y);
+    ids: &[usize],
+    weight: f32,
+) -> (f32, (f64, usize), GradSet) {
+    let graphs: Vec<&GraphData> = ids.iter().map(|&i| &data[i].0).collect();
+    let mut t = Tape::new();
+    let heads = model.heads(store, &mut t, &Batch::from_graphs(&graphs, true));
+    let mut col = 0;
+    let mut latency = (0, 0);
+    let mut targets = Vec::with_capacity(heads.len());
+    for (h, &pred) in heads.iter().enumerate() {
+        let width = t.value(pred).cols();
+        if (col..col + width).contains(&M::LATENCY_COL) {
+            latency = (h, M::LATENCY_COL - col);
         }
-        (preds, targets)
-    });
-    let mut preds = Vec::new();
-    let mut targets = Vec::new();
-    for (p, t) in parts {
-        preds.extend(p);
-        targets.extend(t);
+        let y = Matrix::from_fn(ids.len(), width, |r, c| data[ids[r]].1[col + c]);
+        targets.push(t.leaf(y));
+        col += width;
     }
-    mape(&preds, &targets)
+    assert!(
+        ids.iter().all(|&i| data[i].1.len() == col),
+        "target width mismatch"
+    );
+    let losses: Vec<Var> = heads
+        .iter()
+        .zip(&targets)
+        .map(|(&pred, &y)| t.mse(pred, y))
+        .collect();
+    let sum = losses[1..].iter().fold(losses[0], |acc, &l| t.add(acc, l));
+    let loss = t.scale(sum, ids.len() as f32 / weight);
+    let mut ape = (0.0f64, 0usize);
+    if obs::collecting() {
+        // training MAPE from the predictions already on the tape — free
+        // when obs is off
+        let (head, c) = latency;
+        let pred = t.value(heads[head]);
+        for (r, &i) in ids.iter().enumerate() {
+            let y = data[i].1[M::LATENCY_COL];
+            ape.0 += f64::from((pred[(r, c)] - y).abs()) / f64::from(y).abs().max(1e-6);
+            ape.1 += 1;
+        }
+    }
+    t.backward(loss);
+    (t.value(loss).item(), ape, store.grads_of(&t))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convs::ConvKind;
+    use crate::metrics::mape;
 
     /// Synthetic task: predict the number of nodes and total edge count of
     /// random path graphs — learnable from structure alone.
@@ -334,6 +319,14 @@ mod tests {
                 (GraphData::new(x, src, dst), y)
             })
             .collect()
+    }
+
+    /// MAPE of `model`'s predictions over a labeled set.
+    fn mape_on(store: &ParamStore, model: &RegressionModel, data: &[(GraphData, Vec<f32>)]) -> f32 {
+        let graphs: Vec<&GraphData> = data.iter().map(|(g, _)| g).collect();
+        let pred = model.predict(store, &graphs);
+        let truth: Vec<f32> = data.iter().flat_map(|(_, y)| y.iter().copied()).collect();
+        mape(pred.as_slice(), &truth)
     }
 
     #[test]
@@ -354,12 +347,10 @@ mod tests {
             lr: 5e-3,
             ..TrainConfig::default()
         };
-        let report = train_regression(&mut store, &model, &train, &val, &cfg);
-        assert!(
-            report.best_val_mape < 12.0,
-            "val MAPE too high: {}",
-            report.best_val_mape
-        );
+        let mut rng = init::seeded_rng(0);
+        train_regression("size", &mut store, &model, &train, &cfg, &mut rng);
+        let m = mape_on(&store, &model, &val);
+        assert!(m < 12.0, "val MAPE too high: {m}");
     }
 
     #[test]
@@ -388,34 +379,9 @@ mod tests {
             lr: 1e-2,
             ..TrainConfig::default()
         };
-        let report = train_regression(&mut store, &model, &data, &data, &cfg);
-        assert!(
-            report.best_val_mape < 8.0,
-            "val MAPE too high: {}",
-            report.best_val_mape
-        );
-    }
-
-    #[test]
-    fn early_stopping_halts() {
-        let train = synth_dataset(10, 3);
-        let val = synth_dataset(5, 4);
-        let mut store = ParamStore::new();
-        let model = RegressionModel::new(
-            &mut store,
-            &EncoderConfig::new(ConvKind::Gcn, 2, 4),
-            0,
-            1,
-            1,
-        );
-        let cfg = TrainConfig {
-            epochs: 500,
-            batch_size: 8,
-            lr: 0.0, // no progress => patience should trigger
-            patience: 3,
-            ..TrainConfig::default()
-        };
-        let report = train_regression(&mut store, &model, &train, &val, &cfg);
-        assert!(report.epochs_run <= 10);
+        let mut rng = init::seeded_rng(0);
+        train_regression("feats", &mut store, &model, &data, &cfg, &mut rng);
+        let m = mape_on(&store, &model, &data);
+        assert!(m < 8.0, "MAPE too high: {m}");
     }
 }

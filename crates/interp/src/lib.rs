@@ -77,7 +77,7 @@ impl std::error::Error for InterpError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total iterations executed per loop, keyed by the loop's structural
-    /// path rendered like [`pragma::LoopId`] (`"L0"`, `"L0.L1"`, …) so the
+    /// path rendered like `pragma::LoopId` (`"L0"`, `"L0.L1"`, …) so the
     /// keys line up with `hir` loop ids. A loop nested under an `N`-trip
     /// parent that itself trips `M` times records `N * M`.
     pub loop_iterations: BTreeMap<String, u64>,

@@ -4,7 +4,7 @@
 //! Six pieces, all std-only and thread-safe:
 //!
 //! * **Spans** — hierarchical wall-clock timing with RAII guards and
-//!   per-span attributes ([`span`], [`span!`]).
+//!   per-span attributes ([`span()`], [`span!`]).
 //! * **Metrics** — counters, gauges, per-step series and log-bucketed
 //!   histograms with exact-quantile windows in a global registry
 //!   ([`metrics`]).

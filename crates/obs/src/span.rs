@@ -103,7 +103,7 @@ impl Drop for Span {
     }
 }
 
-/// Enters a span named `name`; see the [module docs](self).
+/// Enters a span named `name`; see the [crate docs](crate).
 pub fn span(name: &str) -> Span {
     if !collecting() {
         return Span { idx: None };

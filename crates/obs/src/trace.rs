@@ -3,7 +3,7 @@
 //! A [`TraceId`] identifies one logical request or job end-to-end: the
 //! serving layer derives one per HTTP request (or adopts the id sent by an
 //! upstream hop in the `x-qor-trace` header), the session and search
-//! layers run under it, and every span ([`crate::span`]), structured log
+//! layers run under it, and every span ([`crate::span()`]), structured log
 //! event ([`crate::log`]) and flight record ([`crate::flight`]) produced
 //! while it is active carries it. Ids are **FNV-1a derived**, never
 //! random: deriving from the same parts yields the same id in every
@@ -24,7 +24,7 @@ use std::hash::Hasher;
 use crate::hash::{Fnv1aHasher, FNV1A_OFFSET};
 
 /// One end-to-end trace identifier. The all-zero id is reserved to mean
-/// "no trace" and is never produced by [`derive`].
+/// "no trace" and is never produced by [`derive()`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 

@@ -15,14 +15,17 @@ use serve::{json, Server};
 static ISOLATION: Mutex<()> = Mutex::new(());
 static LOG_SETUP: Once = Once::new();
 
+/// The event log, in the build's scratch directory for integration tests,
+/// so a test run leaves nothing in the system temp dir.
 fn log_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("qor-trace-chain-{}.jsonl", std::process::id()))
+    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("qor-trace-chain.jsonl")
 }
 
-/// Points `QOR_LOG` at a temp file before the first log call in this
-/// process (the variable is read once).
+/// Clears the log a previous run left and points `QOR_LOG` at it before
+/// the first log call in this process (the variable is read once).
 fn setup_log() {
     LOG_SETUP.call_once(|| {
+        let _ = std::fs::remove_file(log_path());
         std::env::set_var("QOR_LOG", format!("debug:{}", log_path().display()));
     });
 }

@@ -1,7 +1,7 @@
 //! Trainable parameters with Adam optimizer state.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 use crate::matrix::Matrix;
 use crate::tape::Tape;
@@ -363,53 +363,6 @@ impl ParamStore {
         }
         Ok(())
     }
-
-    /// Restores parameter values from a snapshot created by [`ParamStore::save`].
-    ///
-    /// Parameters are matched by name; shapes must agree.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on malformed input, unknown parameter names, or shape
-    /// mismatches.
-    pub fn load<R: BufRead>(&mut self, r: R) -> io::Result<()> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut lines = r.lines();
-        let header = lines.next().ok_or_else(|| bad("empty snapshot"))??;
-        if !header.starts_with("paramstore v1") {
-            return Err(bad("unrecognized snapshot header"));
-        }
-        for line in lines {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let name = it.next().ok_or_else(|| bad("missing name"))?;
-            let rows: usize = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad("missing rows"))?;
-            let cols: usize = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad("missing cols"))?;
-            let data: Vec<f32> = it.map(|s| s.parse().unwrap_or(0.0)).collect();
-            if data.len() != rows * cols {
-                return Err(bad("value count mismatch"));
-            }
-            let entry = self
-                .entries
-                .iter_mut()
-                .find(|e| e.name == name)
-                .ok_or_else(|| bad("unknown parameter name"))?;
-            if entry.value.shape() != (rows, cols) {
-                return Err(bad("parameter shape mismatch"));
-            }
-            entry.value = Matrix::from_vec(rows, cols, data);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -431,30 +384,6 @@ mod tests {
             store.adam_step(&t, &cfg);
         }
         assert!((store.value(w).item() - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut store = ParamStore::new();
-        let a = store.add("a", Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
-        let b = store.add("b", Matrix::scalar(-7.5));
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-
-        let mut other = ParamStore::new();
-        let a2 = other.add("a", Matrix::zeros(1, 3));
-        let b2 = other.add("b", Matrix::zeros(1, 1));
-        other.load(&buf[..]).unwrap();
-        assert_eq!(other.value(a2), store.value(a));
-        assert_eq!(other.value(b2), store.value(b));
-    }
-
-    #[test]
-    fn load_rejects_shape_mismatch() {
-        let mut store = ParamStore::new();
-        store.add("a", Matrix::zeros(2, 2));
-        let snapshot = b"paramstore v1 1\na 1 1 3.5\n";
-        assert!(store.load(&snapshot[..]).is_err());
     }
 
     #[test]
