@@ -103,6 +103,19 @@ QOR_THREADS=4 ./target/release/qor-search --self-test
 echo "==> benchmark tests"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
+# Quotient-forward gate: every GNN_g inference runs over one row per
+# colour-refinement class of the condensed graph, and the dse_sweep smoke
+# below compares session predictions with uncached predict, which both
+# take that path, so it cannot see a quotient that drifts from the graph.
+# This differential compares the quotient forward with the full-graph
+# forward training runs, bit for bit, for all five conv families and a
+# trained model on every held-out design, the folding budget and the
+# synthetic corpus; release mode keeps the full sweep short, and it runs
+# at both worker counts like the rest of the suite.
+echo "==> quotient forward differential (QOR_THREADS=1, 4)"
+QOR_THREADS=1 cargo test -q --release -p qor-core --test quotient_forward
+QOR_THREADS=4 cargo test -q --release -p qor-core --test quotient_forward
+
 # Sweep correctness smoke: one short dse_sweep round through a fresh
 # Session. The benchmark exits 1 when a kernel's predicted front misses its
 # ADRS bound or when a sampled Session prediction differs from uncached

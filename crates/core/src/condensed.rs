@@ -9,6 +9,9 @@
 //! [`Skeleton::materialize`] writes the super rows and the aggregates
 //! into it per prediction, producing exactly the bytes `graph_to_gnn` +
 //! `graph_aggregates` produce for the condensed [`GraphBuilder`] graph.
+//! Training reads that whole graph; inference reads its [`Quotient`] through
+//! [`Skeleton::materialize_quotient`]: one row per class of nodes whose
+//! `GNN_g` activations are equal under any weights.
 //!
 //! The structure depends on less than the whole configuration, so many
 //! designs share one skeleton. A [`CondensedSpec`] is that projection:
@@ -229,46 +232,204 @@ pub(crate) struct Skeleton {
     rows: Vec<NodeRow>,
     /// Per node: its index into `rows`.
     nodes: Vec<u32>,
-    /// Each edge once, in graph order.
-    edges: Edges,
+    /// Each edge once, `src, dst` per edge in graph order.
+    edges: Indices,
     /// Per super node, in node order: its position and its region's
     /// index into the spec's roots.
     supers: Vec<(u32, u32)>,
+    /// The colour-refinement quotient `GNN_g` inference runs over, built
+    /// by the first inference that reads it (or by
+    /// `HierarchicalModel::prepare`); training never does.
+    quotient: OnceLock<Quotient>,
 }
 
-/// Edge endpoints, `src, dst` per edge in graph order: two bytes each
-/// when every node index fits, four otherwise. Edges outnumber nodes
-/// three to one, so this halves most skeletons.
-enum Edges {
+/// Node indices of one graph: two bytes each when every node index fits,
+/// four otherwise. Edges outnumber nodes three to one, so this halves
+/// most skeletons.
+enum Indices {
     Narrow(Vec<u16>),
     Wide(Vec<u32>),
 }
 
-impl Edges {
-    fn of(graph: &Graph) -> Self {
-        let ends = graph.edges.iter().flat_map(|e| [e.src, e.dst]);
-        if u16::try_from(graph.num_nodes()).is_ok() {
-            Edges::Narrow(ends.map(|v| v as u16).collect())
+impl Indices {
+    /// `values`, node indices of a graph of `nodes` nodes, at exact
+    /// capacity.
+    fn new(nodes: usize, values: &[u32]) -> Self {
+        if u16::try_from(nodes).is_ok() {
+            Indices::Narrow(values.iter().map(|&v| v as u16).collect())
         } else {
-            Edges::Wide(ends.collect())
+            Indices::Wide(values.to_vec())
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            Edges::Narrow(v) => v.len() / 2,
-            Edges::Wide(v) => v.len() / 2,
+            Indices::Narrow(v) => v.len(),
+            Indices::Wide(v) => v.len(),
         }
     }
 
-    /// Sources and destinations, in graph order.
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            Indices::Narrow(v) => u32::from(v[i]),
+            Indices::Wide(v) => v[i],
+        }
+    }
+
+    /// Every index, widened.
+    fn to_vec(&self) -> Vec<u32> {
+        match self {
+            Indices::Narrow(v) => v.iter().map(|&i| u32::from(i)).collect(),
+            Indices::Wide(v) => v.clone(),
+        }
+    }
+
+    /// Pairs of consecutive indices (edges), unzipped into their first
+    /// and second ends.
     fn unzip(&self) -> (Vec<u32>, Vec<u32>) {
         match self {
-            Edges::Narrow(v) => v
+            Indices::Narrow(v) => v
                 .chunks_exact(2)
                 .map(|e| (u32::from(e[0]), u32::from(e[1])))
                 .unzip(),
-            Edges::Wide(v) => v.chunks_exact(2).map(|e| (e[0], e[1])).unzip(),
+            Indices::Wide(v) => v.chunks_exact(2).map(|e| (e[0], e[1])).unzip(),
+        }
+    }
+}
+
+/// The classes of a skeleton's nodes whose `GNN_g` activations are equal,
+/// bit for bit, under any weights and any super features, and the edges
+/// one row per class reads.
+///
+/// Colour refinement over the mirrored edges `Batch::from_graph(_, true)`
+/// builds — per edge `s → d`, then `d → s` unless `s == d`. The start
+/// classes are the distinct rows, each super node alone; each round, a
+/// node's new class is its old class and its in-neighbours' old classes
+/// in edge order; refinement stops when the class count stops rising.
+/// At that fixed point every node of a class has an equal input row and
+/// equal in-neighbour classes in edge order, so every propagation layer
+/// gives its nodes equal rows, at any depth (see `gnn::Batch::quotient`).
+pub(crate) struct Quotient {
+    /// Per node: its class.
+    classes: Indices,
+    /// Per class: its representative, the class's first node; ascending.
+    reps: Indices,
+    /// The representatives' mirrored in-edges in batch order, `src, dst`
+    /// per edge, both ends as classes.
+    edges: Indices,
+}
+
+/// One refinement key's hash step (an FxHash-style mix).
+fn mix(h: u64, v: u32) -> u64 {
+    (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+impl Quotient {
+    fn of(skeleton: &Skeleton) -> Self {
+        let n = skeleton.num_nodes();
+        // the mirrored edges, in batch order
+        let (src, dst) = skeleton.edges.unzip();
+        let mut mirrored = Vec::with_capacity(2 * src.len());
+        for (&s, &d) in src.iter().zip(&dst) {
+            mirrored.push((s, d));
+            if s != d {
+                mirrored.push((d, s));
+            }
+        }
+        // each node's in-neighbours in edge order: `nbrs[start[v]..start[v + 1]]`
+        let mut start = vec![0usize; n + 1];
+        for &(_, d) in &mirrored {
+            start[d as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut nbrs = vec![0u32; mirrored.len()];
+        for &(s, d) in &mirrored {
+            nbrs[fill[d as usize]] = s;
+            fill[d as usize] += 1;
+        }
+
+        // start classes: the distinct rows, each super node alone, numbered
+        // in order of first occurrence
+        let mut class = vec![0u32; n];
+        let mut first = vec![u32::MAX; skeleton.rows.len()];
+        let mut count = 0u32;
+        let mut supers = skeleton.supers.iter().map(|&(i, _)| i as usize).peekable();
+        for (v, c) in class.iter_mut().enumerate() {
+            let row = &mut first[skeleton.nodes[v] as usize];
+            if supers.next_if_eq(&v).is_some() {
+                *c = count;
+            } else if *row == u32::MAX {
+                *row = count;
+                *c = count;
+            } else {
+                *c = *row;
+                continue;
+            }
+            count += 1;
+        }
+
+        // refine; a key is (own class, in-neighbour classes), hashed into
+        // an open-addressed table of `(hash, class)` and checked exactly
+        // against its class's representative
+        const EMPTY: u32 = u32::MAX;
+        let mask = (2 * n).next_power_of_two() - 1;
+        let mut table = vec![(0u64, EMPTY); mask + 1];
+        let mut next = vec![0u32; n];
+        let mut reps: Vec<u32> = Vec::new();
+        loop {
+            table.fill((0, EMPTY));
+            reps.clear();
+            let key = |v: usize| (class[v], &nbrs[start[v]..start[v + 1]]);
+            for (v, new) in next.iter_mut().enumerate() {
+                let (own, ins) = key(v);
+                let h = ins
+                    .iter()
+                    .fold(mix(0, own), |h, &u| mix(h, class[u as usize]));
+                let mut slot = h as usize & mask;
+                *new = loop {
+                    let (sh, c) = table[slot];
+                    if c == EMPTY {
+                        table[slot] = (h, reps.len() as u32);
+                        reps.push(v as u32);
+                        break reps.len() as u32 - 1;
+                    }
+                    let (rep_own, rep_ins) = key(reps[c as usize] as usize);
+                    if sh == h
+                        && rep_own == own
+                        && rep_ins.len() == ins.len()
+                        && rep_ins
+                            .iter()
+                            .zip(ins)
+                            .all(|(&a, &b)| class[a as usize] == class[b as usize])
+                    {
+                        break c;
+                    }
+                    slot = (slot + 1) & mask;
+                };
+            }
+            std::mem::swap(&mut class, &mut next);
+            let rose = reps.len() as u32 > count;
+            count = reps.len() as u32;
+            if !rose {
+                break;
+            }
+        }
+
+        // the representatives' in-edges, in batch order, as classes
+        let mut edges = Vec::new();
+        for &(s, d) in &mirrored {
+            let cd = class[d as usize];
+            if reps[cd as usize] == d {
+                edges.extend([class[s as usize], cd]);
+            }
+        }
+        Quotient {
+            classes: Indices::new(n, &class),
+            reps: Indices::new(n, &reps),
+            edges: Indices::new(n, &edges),
         }
     }
 }
@@ -344,11 +505,13 @@ impl Skeleton {
             nodes.push(index);
         }
         rows.shrink_to_fit();
+        let ends: Vec<u32> = graph.edges.iter().flat_map(|e| [e.src, e.dst]).collect();
         Skeleton {
             rows,
             nodes,
-            edges: Edges::of(graph),
+            edges: Indices::new(graph.num_nodes(), &ends),
             supers,
+            quotient: OnceLock::new(),
         }
     }
 
@@ -361,8 +524,46 @@ impl Skeleton {
     /// `supers[r]`: node features, edges and graph aggregates, equal to
     /// `graph_to_gnn` + `graph_aggregates` of that graph.
     pub(crate) fn materialize(&self, supers: &[SuperFeatures]) -> GraphData {
+        let (x, g_feats) = self.write(supers, None);
+        let (src, dst) = self.edges.unzip();
+        GraphData {
+            x,
+            src,
+            dst,
+            g_feats,
+        }
+    }
+
+    /// The input of `gnn::Batch::quotient` for the condensed graph whose
+    /// region `r` carries `supers[r]`: the quotient classes'
+    /// representatives' rows of [`Skeleton::materialize`], their mirrored
+    /// in-edges as classes, the aggregates of every node, and the class of
+    /// every node.
+    pub(crate) fn materialize_quotient(&self, supers: &[SuperFeatures]) -> (GraphData, Vec<u32>) {
+        let quotient = self.quotient();
+        let (x, g_feats) = self.write(supers, Some(&quotient.reps));
+        let (src, dst) = quotient.edges.unzip();
+        let data = GraphData {
+            x,
+            src,
+            dst,
+            g_feats,
+        };
+        (data, quotient.classes.to_vec())
+    }
+
+    /// The skeleton's quotient, refined on the first call.
+    pub(crate) fn quotient(&self) -> &Quotient {
+        self.quotient.get_or_init(|| Quotient::of(self))
+    }
+
+    /// The feature rows of the nodes `reps` lists (ascending; every node
+    /// when `None`) and the graph aggregates over every node, in node
+    /// order, for region `r` carrying `supers[r]`.
+    fn write(&self, supers: &[SuperFeatures], reps: Option<&Indices>) -> (Matrix, Vec<f32>) {
         let n = self.num_nodes();
-        let mut x = Matrix::zeros(n, FEATURE_DIM);
+        let mut x = Matrix::zeros(reps.map_or(n, Indices::len), FEATURE_DIM);
+        let mut out = 0;
         let mut sums = AggregateSums::default();
         let mut next = self.supers.iter().peekable();
         for i in 0..n {
@@ -375,16 +576,13 @@ impl Skeleton {
             };
             let row = &self.rows[self.nodes[i] as usize];
             let index = usize::from(row.mnemonic);
-            write_row(x.row_mut(i), index, &row.counts, features);
+            if out < x.rows() && reps.is_none_or(|r| r.get(out) as usize == i) {
+                write_row(x.row_mut(out), index, &row.counts, features);
+                out += 1;
+            }
             sums.add(index, row.invocations, row.hw_weight, features);
         }
-        let (src, dst) = self.edges.unzip();
-        GraphData {
-            x,
-            src,
-            dst,
-            g_feats: sums.finish(n, self.edges.len()),
-        }
+        (x, sums.finish(n, self.edges.len() / 2))
     }
 }
 
@@ -465,5 +663,120 @@ mod tests {
     fn wide_edges_materialize_the_graph() {
         // more nodes than a two-byte index can name
         check(usize::from(u16::MAX) + 10);
+    }
+
+    /// Adds a node of `mnemonic`; a super node stands for region `[r]`.
+    fn node(g: &mut Graph, mnemonic: &'static str, region: Option<u16>) -> u32 {
+        let kind = match region {
+            Some(r) => NodeKind::Super {
+                loop_id: LoopId::from_path(&[r]),
+                features: SuperFeatures::default(),
+            },
+            None => NodeKind::Instr {
+                op: None,
+                replica: 0,
+            },
+        };
+        g.add_node(Node {
+            kind,
+            mnemonic,
+            loop_path: LoopId::root(),
+            invocations: 4,
+            hw_weight: 1,
+        })
+    }
+
+    /// The quotient class of every node of `g`, whose super nodes stand
+    /// for regions `[0]`, `[1]`, ...
+    fn classes(g: &Graph) -> Vec<u32> {
+        let supers = g
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Super { .. }))
+            .count();
+        let roots: Vec<LoopId> = (0..supers as u16)
+            .map(|r| LoopId::from_path(&[r]))
+            .collect();
+        let features = vec![SuperFeatures::default(); supers];
+        Skeleton::of(g, &roots).materialize_quotient(&features).1
+    }
+
+    #[test]
+    fn unroll_replicas_share_a_class() {
+        // a load feeding two replicas of `fmul -> store`
+        let mut g = Graph::default();
+        let load = node(&mut g, "load", None);
+        for _ in 0..2 {
+            let mul = node(&mut g, "fmul", None);
+            let store = node(&mut g, "store", None);
+            g.add_edge(load, mul, EdgeKind::Data);
+            g.add_edge(mul, store, EdgeKind::Data);
+        }
+        assert_eq!(classes(&g), [0, 1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn equal_rows_with_reordered_neighbours_differ() {
+        // `x` hears `a` then `b`, `y` hears `b` then `a`
+        let mut g = Graph::default();
+        let a = node(&mut g, "fadd", None);
+        let b = node(&mut g, "load", None);
+        let x = node(&mut g, "fmul", None);
+        let y = node(&mut g, "fmul", None);
+        g.add_edge(a, x, EdgeKind::Data);
+        g.add_edge(b, x, EdgeKind::Data);
+        g.add_edge(b, y, EdgeKind::Data);
+        g.add_edge(a, y, EdgeKind::Data);
+        let rows = Skeleton::of(&g, &[]).nodes;
+        assert_eq!(rows[x as usize], rows[y as usize]);
+        assert_eq!(classes(&g), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_self_loop_differs_from_a_pass_through() {
+        // both have one in- and one out-edge, so equal rows; mirrored, the
+        // self-loop hears one message and the pass-through two
+        let mut g = Graph::default();
+        let looped = node(&mut g, "fadd", None);
+        let from = node(&mut g, "fadd", None);
+        let through = node(&mut g, "fadd", None);
+        let to = node(&mut g, "fadd", None);
+        g.add_edge(looped, looped, EdgeKind::Data);
+        g.add_edge(from, through, EdgeKind::Data);
+        g.add_edge(through, to, EdgeKind::Data);
+        let rows = Skeleton::of(&g, &[]).nodes;
+        assert_eq!(rows[looped as usize], rows[through as usize]);
+        assert_eq!(classes(&g), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn super_nodes_never_merge() {
+        // two super nodes with equal rows in symmetric places
+        let mut g = Graph::default();
+        let port = node(&mut g, "port", None);
+        let first = node(&mut g, "super", Some(0));
+        let second = node(&mut g, "super", Some(1));
+        g.add_edge(port, first, EdgeKind::Data);
+        g.add_edge(port, second, EdgeKind::Data);
+        assert_eq!(classes(&g), [0, 1, 2]);
+    }
+
+    #[test]
+    fn wide_graphs_refine() {
+        // replicas of one chain past a two-byte index: a port and then
+        // `fmul -> store` pairs, two classes among them
+        let pairs = usize::from(u16::MAX) / 2 + 8;
+        let mut g = Graph::default();
+        let port = node(&mut g, "port", None);
+        for _ in 0..pairs {
+            let mul = node(&mut g, "fmul", None);
+            let store = node(&mut g, "store", None);
+            g.add_edge(port, mul, EdgeKind::Data);
+            g.add_edge(mul, store, EdgeKind::Data);
+        }
+        let c = classes(&g);
+        assert_eq!(c.len(), 1 + 2 * pairs);
+        assert_eq!(c[..5], [0, 1, 2, 1, 2]);
+        assert_eq!(c.iter().max(), Some(&2));
     }
 }

@@ -14,7 +14,7 @@ use pragma::{LoopId, PragmaConfig};
 use rand::rngs::StdRng;
 use tensor::{ParamStore, Tape, Var};
 
-use crate::condensed::{array_partitions, CondensedSlot, CondensedSpec};
+use crate::condensed::{array_partitions, CondensedSlot, CondensedSpec, Skeleton};
 use crate::dataset::{self, DataOptions, DesignSample, LabeledDesigns};
 use crate::error::QorError;
 use crate::features::{
@@ -558,8 +558,7 @@ impl HierarchicalModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QorError::UnknownKernel`] if a design references a kernel
-    /// the dataset never registered.
+    /// As [`HierarchicalModel::fit`].
     pub fn train_with_designs(
         opts: &TrainOptions,
         designs: &LabeledDesigns,
@@ -574,7 +573,10 @@ impl HierarchicalModel {
     /// # Errors
     ///
     /// Returns [`QorError::UnknownKernel`] if a design references a kernel
-    /// the dataset never registered.
+    /// the dataset never registered, and [`QorError::Shape`] if a bank of
+    /// [`BANKS`] would get no training samples (no pipelined or no
+    /// non-pipelined inner region, or no training design) and so could
+    /// not predict.
     pub fn fit(&mut self, designs: &LabeledDesigns) -> Result<TrainStats, QorError> {
         let fit_sp = obs::span("fit");
         fit_sp.attr("designs", designs.len());
@@ -591,6 +593,23 @@ impl HierarchicalModel {
             np_train.len() + np_test.len() + np_val.len(),
             designs.len(),
         );
+        // a bank without training rows would fit a 0-wide normalizer, and
+        // the first prediction through it would panic
+        let empty = if opts.shared_inner {
+            let inner = p_train.is_empty() && np_train.is_empty();
+            [inner, inner, designs.train.is_empty()]
+        } else {
+            [
+                p_train.is_empty(),
+                np_train.is_empty(),
+                designs.train.is_empty(),
+            ]
+        };
+        if let Some((bank, _)) = BANKS.iter().zip(empty).find(|&(_, e)| e) {
+            return Err(QorError::Shape(format!(
+                "bank {bank:?} has no training samples"
+            )));
+        }
 
         // 2. standardize the targets, train GNN_p and GNN_np, then freeze
         let train_cfg = |epochs| TrainConfig {
@@ -668,7 +687,7 @@ impl HierarchicalModel {
 
     /// Builds the weight-independent front half of a prediction: the
     /// hierarchy split, every inner loop's subgraph and feature annotation,
-    /// and the condensed whole-design graph's skeleton.
+    /// and the condensed whole-design graph's skeleton with its quotient.
     ///
     /// The result depends only on the function, the pragma configuration
     /// and the model's `graph_max_nodes` option — never on the weights —
@@ -676,7 +695,7 @@ impl HierarchicalModel {
     /// [`HierarchicalModel::predict_prepared`] for a bit-identical result.
     pub fn prepare(&self, func: Arc<Function>, cfg: PragmaConfig) -> PreparedDesign {
         let (inner, condensed) = self.prepare_parts(&func, &cfg);
-        condensed.skeleton(&func);
+        condensed.skeleton(&func).0.quotient();
         PreparedDesign {
             func,
             cfg,
@@ -767,10 +786,21 @@ impl HierarchicalModel {
         cfg: &PragmaConfig,
         supers: &BTreeMap<LoopId, SuperFeatures>,
     ) -> GraphData {
-        let hierarchy = split_hierarchy(func, cfg);
-        let rows: Vec<SuperFeatures> = hierarchy.inner.iter().map(|r| supers[&r.id]).collect();
-        let slot = self.condensed_slot(func, cfg, &hierarchy);
+        let (slot, rows) = self.condensed_with(func, cfg, supers);
         slot.graph(func, &rows).0
+    }
+
+    /// The skeleton slot of the design `cfg` and the super features of its
+    /// regions, in region order, read from `supers`.
+    fn condensed_with(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+        supers: &BTreeMap<LoopId, SuperFeatures>,
+    ) -> (CondensedSlot, Vec<SuperFeatures>) {
+        let hierarchy = split_hierarchy(func, cfg);
+        let rows = hierarchy.inner.iter().map(|r| supers[&r.id]).collect();
+        (self.condensed_slot(func, cfg, &hierarchy), rows)
     }
 
     /// The front half shared by [`HierarchicalModel::predict`] and
@@ -893,11 +923,8 @@ impl HierarchicalModel {
         token: Option<u64>,
     ) -> DesignForward {
         let (supers, inner_hits) = self.supers_of(inner, token);
-        let (data, built_skeleton) = condensed.graph(func, &supers);
-        let out = self
-            .model_g
-            .outputs(&self.store_g, &Batch::from_graph(data, true));
-        let mut y: [f32; 4] = out.row(0).try_into().expect("four global outputs");
+        let (skeleton, built_skeleton) = condensed.skeleton(func);
+        let mut y = self.quotient_outputs(skeleton, &supers);
         self.norm_g.inverse(&mut y);
         let qor = Qor {
             latency: expm1(y[0]).round() as u64,
@@ -910,6 +937,52 @@ impl HierarchicalModel {
             inner_hits,
             built_skeleton,
         }
+    }
+
+    /// `GNN_g`'s raw outputs (normalised, log space: `[latency, lut, ff,
+    /// dsp]`) over the quotient of `skeleton` whose region `r` carries
+    /// `supers[r]`: one row per class of nodes whose activations are
+    /// equal (see `gnn::Batch::quotient`). Every inference forward of
+    /// `GNN_g` runs here; training reads the full condensed graph.
+    fn quotient_outputs(&self, skeleton: &Skeleton, supers: &[SuperFeatures]) -> [f32; 4] {
+        let (data, classes) = skeleton.materialize_quotient(supers);
+        obs::metrics::counter_add("gnn_g/nodes", classes.len() as u64);
+        obs::metrics::counter_add("gnn_g/rows", data.num_nodes() as u64);
+        let batch = Batch::quotient(data, Arc::new(classes));
+        let out = self.model_g.outputs(&self.store_g, &batch);
+        out.row(0).try_into().expect("four global outputs")
+    }
+
+    /// `GNN_g`'s raw outputs (normalised, log space: `[latency, lut, ff,
+    /// dsp]`) for the design `cfg` whose inner regions carry `supers`, as
+    /// every prediction computes them: over the quotient of the design's
+    /// condensed graph.
+    ///
+    /// `f32::to_bits`-equal to [`HierarchicalModel::global_outputs_of`]
+    /// the same design's [`HierarchicalModel::condensed_graph`], the
+    /// full-graph forward training runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `supers` lacks one of the design's inner regions.
+    pub fn global_outputs(
+        &self,
+        func: &Function,
+        cfg: &PragmaConfig,
+        supers: &BTreeMap<LoopId, SuperFeatures>,
+    ) -> [f32; 4] {
+        let (slot, rows) = self.condensed_with(func, cfg, supers);
+        self.quotient_outputs(slot.skeleton(func).0, &rows)
+    }
+
+    /// `GNN_g`'s raw outputs (normalised, log space: `[latency, lut, ff,
+    /// dsp]`) over a whole condensed graph, every node a row, with its
+    /// edges mirrored: the forward training runs.
+    pub fn global_outputs_of(&self, graph: GraphData) -> [f32; 4] {
+        let out = self
+            .model_g
+            .outputs(&self.store_g, &Batch::from_graph(graph, true));
+        out.row(0).try_into().expect("four global outputs")
     }
 
     /// The training options this model was built with.
@@ -1137,6 +1210,34 @@ mod tests {
         let qor = model.predict(&func, &PragmaConfig::default());
         // untrained output is arbitrary but must be well-formed
         let _ = qor.as_array();
+    }
+
+    #[test]
+    fn a_bank_without_training_samples_is_a_typed_error() {
+        // one gemm design trains: its inner loops are all pipelined, so
+        // GNN_np gets no sample
+        let gemm: Vec<_> = kernels::all().iter().filter(|k| k.name == "gemm").collect();
+        let data = DataOptions {
+            max_designs_per_kernel: 2,
+            seed: 17,
+        };
+        let designs = dataset::generate_for(&gemm, &data).unwrap();
+        assert_eq!(designs.train.len(), 1);
+        let err = HierarchicalModel::train_with_designs(&tiny_opts(), &designs).unwrap_err();
+        assert!(
+            matches!(&err, QorError::Shape(m) if m.contains("\"gnn_np\"")),
+            "{err}"
+        );
+        // shared inner models pool both kinds of region, so only GNN_g can
+        // come up empty
+        let shared = tiny_opts().with_shared_inner(true);
+        assert!(HierarchicalModel::train_with_designs(&shared, &designs).is_ok());
+        let no_train = LabeledDesigns {
+            train: Vec::new(),
+            ..designs
+        };
+        let err = HierarchicalModel::train_with_designs(&shared, &no_train).unwrap_err();
+        assert!(matches!(&err, QorError::Shape(_)), "{err}");
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Conv {
     }
 
     fn forward(&self, store: &ParamStore, t: &mut Tape, x: Var, batch: &Batch) -> Var {
-        let n = batch.num_nodes();
+        let n = batch.num_rows();
         match self {
             Conv::Gcn { lin } => {
                 let xw = lin.forward(store, t, x);
@@ -282,7 +282,8 @@ impl Conv {
                 let var_pos = t.relu(var);
                 let std = t.sqrt(var_pos, 1e-6);
                 // degree scalers: identity, amplification, attenuation
-                let (amp, att) = degree_scalers(&batch.in_deg);
+                let classes = batch.classes.as_deref().map(Vec::as_slice);
+                let (amp, att) = degree_scalers(&batch.in_deg, classes);
                 let amp_v = t.leaf(amp);
                 let att_v = t.leaf(att);
                 let mut parts = Vec::with_capacity(PNA_EXPANSION + 1);
@@ -301,15 +302,24 @@ impl Conv {
 
 /// Attention-weighted sum of `x` over each node's incoming edges.
 fn aggregate(t: &mut Tape, x: Var, att: Var, batch: &Batch) -> Var {
-    let n = batch.num_nodes();
+    let n = batch.num_rows();
     t.gather_scatter(x, Arc::clone(&batch.src), att, Arc::clone(&batch.dst), n)
 }
 
-/// PNA amplification/attenuation scalers `log(d+1)/delta` and
-/// `delta/log(d+1)` with `delta` the batch-average `log(d+1)`.
-fn degree_scalers(in_deg: &[f32]) -> (Matrix, Matrix) {
+/// PNA amplification/attenuation scalers `log(d+1)/delta` per row, with
+/// `delta` the batch-average `log(d+1)` over its nodes in node order: a
+/// quotient batch's rows are read through the node `classes`, so `delta`
+/// sums the same terms in the same order as the full batch.
+fn degree_scalers(in_deg: &[f32], classes: Option<&[u32]>) -> (Matrix, Matrix) {
     let logs: Vec<f32> = in_deg.iter().map(|d| (d + 1.0).ln()).collect();
-    let delta = (logs.iter().sum::<f32>() / logs.len().max(1) as f32).max(1e-3);
+    let (sum, nodes) = match classes {
+        Some(classes) => (
+            classes.iter().map(|&c| logs[c as usize]).sum::<f32>(),
+            classes.len(),
+        ),
+        None => (logs.iter().sum::<f32>(), logs.len()),
+    };
+    let delta = (sum / nodes.max(1) as f32).max(1e-3);
     let amp = Matrix::col_vector(&logs.iter().map(|l| l / delta).collect::<Vec<_>>());
     let att = Matrix::col_vector(&logs.iter().map(|l| delta / l.max(1e-3)).collect::<Vec<_>>());
     (amp, att)
@@ -392,7 +402,8 @@ impl Encoder {
         }
     }
 
-    /// Node embeddings after all propagation layers, `[num_nodes, hidden]`.
+    /// Row embeddings after all propagation layers, `[num_rows, hidden]`:
+    /// one per node, or per class of a quotient batch.
     pub fn forward_nodes(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Var {
         let mut h = t.leaf(batch.x.clone());
         for conv in &self.convs {
@@ -410,7 +421,12 @@ impl Encoder {
     /// `log(1 + num_nodes)` column restores the graph-size signal a sum
     /// pool would carry.
     pub fn forward_pooled(&self, store: &ParamStore, t: &mut Tape, batch: &Batch) -> Var {
-        let nodes = self.forward_nodes(store, t, batch);
+        let rows = self.forward_nodes(store, t, batch);
+        // a quotient batch pools every node, read through its class
+        let nodes = match &batch.classes {
+            Some(classes) => t.gather_rows(rows, Arc::clone(classes)),
+            None => rows,
+        };
         let mean = t.segment_mean(nodes, Arc::clone(&batch.graph_of_node), batch.n_graphs);
         let max = t.segment_max(nodes, Arc::clone(&batch.graph_of_node), batch.n_graphs);
         let mut counts = vec![0u32; batch.n_graphs];
@@ -509,6 +525,46 @@ mod tests {
         }
     }
 
+    /// Two unroll replicas `0 → 1 → 3` and `0 → 2 → 4` plus a self-loop on
+    /// `0`, in full and as the quotient `{0}, {1, 2}, {3, 4}`.
+    fn replicas() -> (GraphData, GraphData, Arc<Vec<u32>>) {
+        let row = |c: usize| [0.7, -0.2 * c as f32, 0.1 + c as f32];
+        let full = GraphData::new(
+            Matrix::from_fn(5, 3, |r, c| row([0, 1, 1, 2, 2][r])[c]),
+            vec![0, 1, 0, 2, 0],
+            vec![1, 3, 2, 4, 0],
+        );
+        // the mirrored in-edges of the representatives 0, 1 and 3, in
+        // batch order, as classes
+        let quotient = GraphData::new(
+            Matrix::from_fn(3, 3, |r, c| row(r)[c]),
+            vec![0, 1, 1, 2, 1, 0],
+            vec![1, 0, 2, 1, 0, 0],
+        );
+        (full, quotient, Arc::new(vec![0, 1, 1, 2, 2]))
+    }
+
+    #[test]
+    fn quotient_batch_pools_bit_identically() {
+        let (full, quotient, classes) = replicas();
+        let full = Batch::from_graph(full, true);
+        let quotient = Batch::quotient(quotient, classes);
+        assert_eq!(quotient.num_rows(), 3);
+        assert_eq!(quotient.num_nodes(), 5);
+        for kind in ConvKind::all() {
+            let mut store = ParamStore::new();
+            let mut rng = init::seeded_rng(5);
+            let enc = Encoder::new(&mut store, "e", &EncoderConfig::new(kind, 3, 8), &mut rng);
+            let pooled = |batch: &Batch| {
+                let mut t = Tape::new();
+                let v = enc.forward_pooled(&store, &mut t, batch);
+                let bits: Vec<u32> = t.value(v).as_slice().iter().map(|v| v.to_bits()).collect();
+                bits
+            };
+            assert_eq!(pooled(&quotient), pooled(&full), "{kind}");
+        }
+    }
+
     #[test]
     fn conv_kind_round_trips_through_str() {
         for kind in ConvKind::all() {
@@ -532,7 +588,7 @@ mod tests {
 
     #[test]
     fn degree_scalers_balance() {
-        let (amp, att) = degree_scalers(&[1.0, 1.0, 1.0]);
+        let (amp, att) = degree_scalers(&[1.0, 1.0, 1.0], None);
         for i in 0..3 {
             assert!((amp[(i, 0)] - 1.0).abs() < 1e-5);
             assert!((att[(i, 0)] - 1.0).abs() < 1e-5);

@@ -84,22 +84,28 @@ impl GraphData {
 /// CDFGs propagate information both ways) and counts per-node in-degrees.
 /// The GCN view of the edges ([`Batch::gcn`]) is built on first use, so
 /// batches that never meet a GCN layer never pay for it.
+///
+/// A batch's rows are its nodes, except in a quotient batch
+/// ([`Batch::quotient`]), whose rows are classes of nodes.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// Stacked node features, `total_nodes x feat_dim`.
+    /// Stacked row features, `rows x feat_dim`.
     pub x: Matrix,
-    /// Edge sources (after offsetting/mirroring).
+    /// Edge sources, as rows (after offsetting/mirroring).
     pub src: Arc<Vec<u32>>,
-    /// Edge destinations (after offsetting/mirroring).
+    /// Edge destinations, as rows (after offsetting/mirroring).
     pub dst: Arc<Vec<u32>>,
     /// Graph id of each node.
     pub graph_of_node: Arc<Vec<u32>>,
     /// Number of graphs in the batch.
     pub n_graphs: usize,
-    /// In-degree (message count) per node, excluding self-loops.
+    /// In-degree (message count) per row, excluding self-loops.
     pub in_deg: Vec<f32>,
     /// Stacked graph-level features, `n_graphs x g_feat_dim` (may be `n x 0`).
     pub g_feats: Matrix,
+    /// In a quotient batch, the row of each node; `None` when every node
+    /// is its own row.
+    pub classes: Option<Arc<Vec<u32>>>,
     gcn: OnceLock<GcnEdges>,
 }
 
@@ -182,6 +188,41 @@ impl Batch {
         Self::assemble(graph.x, src, dst, vec![0; n], 1, g_feats)
     }
 
+    /// A batch of one graph given by its quotient: `graph.x` holds one row
+    /// per class of nodes, `graph.src`/`graph.dst` each class
+    /// representative's in-edges, already mirrored, with both ends as
+    /// classes, and `classes[i]` is the class of node `i`.
+    ///
+    /// When the classes are stable (every node of a class has the same
+    /// input row and the same in-neighbour classes in edge order) and
+    /// each representative's in-edges keep their batch order, every
+    /// propagation layer's rows equal, bit for bit, the representatives'
+    /// rows of the full mirrored batch: each row reads only its own input
+    /// and its in-edges in order, GCN's degrees are class-invariant and
+    /// its self-loops still come last. Pooling gathers the last layer back
+    /// to the nodes in node order, and PNA's δ averages over the nodes, so
+    /// the graph embedding equals the full batch's too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge end or a class is not a row.
+    pub fn quotient(graph: GraphData, classes: Arc<Vec<u32>>) -> Self {
+        let rows = graph.num_nodes() as u32;
+        assert!(
+            classes
+                .iter()
+                .chain(&graph.src)
+                .chain(&graph.dst)
+                .all(|&c| c < rows),
+            "quotient index out of bounds for {rows} rows"
+        );
+        let n = classes.len();
+        let g_feats = Matrix::from_vec(1, graph.g_feats.len(), graph.g_feats);
+        let mut batch = Self::assemble(graph.x, graph.src, graph.dst, vec![0; n], 1, g_feats);
+        batch.classes = Some(classes);
+        batch
+    }
+
     fn assemble(
         x: Matrix,
         src: Vec<u32>,
@@ -202,6 +243,7 @@ impl Batch {
             n_graphs,
             in_deg,
             g_feats,
+            classes: None,
             gcn: OnceLock::new(),
         }
     }
@@ -212,7 +254,7 @@ impl Batch {
         self.gcn.get_or_init(|| {
             // self-loops added, symmetric normalization 1/sqrt(d_i * d_j)
             // where degrees count the self-loop
-            let total_nodes = self.num_nodes();
+            let total_nodes = self.num_rows();
             let mut src = self.src.as_ref().clone();
             let mut dst = self.dst.as_ref().clone();
             for i in 0..total_nodes as u32 {
@@ -237,9 +279,14 @@ impl Batch {
         })
     }
 
+    /// Total rows in the batch: its nodes, or a quotient's classes.
+    pub fn num_rows(&self) -> usize {
+        self.x.rows()
+    }
+
     /// Total nodes in the batch.
     pub fn num_nodes(&self) -> usize {
-        self.x.rows()
+        self.graph_of_node.len()
     }
 
     /// Total (possibly mirrored) edges in the batch.
