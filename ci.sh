@@ -8,7 +8,12 @@ cargo build --workspace --release
 
 # The determinism contract says results are byte-identical for any worker
 # count, so the whole suite must pass on both the legacy sequential path
-# (QOR_THREADS=1) and a genuinely parallel one (QOR_THREADS=4).
+# (QOR_THREADS=1) and a genuinely parallel one (QOR_THREADS=4). The suite
+# includes the quotient-forward differential
+# (crates/core/tests/condensed_skeleton.rs): the dse_sweep smoke below
+# compares session predictions with uncached predict, which take the same
+# quotient GNN_g path, so only that differential against the full-graph
+# forward can see the quotient drift.
 echo "==> cargo test (QOR_THREADS=1)"
 QOR_THREADS=1 cargo test -q --workspace
 
@@ -102,19 +107,6 @@ QOR_THREADS=4 ./target/release/qor-search --self-test
 # than in a benchmark run.
 echo "==> benchmark tests"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-
-# Quotient-forward gate: every GNN_g inference runs over one row per
-# colour-refinement class of the condensed graph, and the dse_sweep smoke
-# below compares session predictions with uncached predict, which both
-# take that path, so it cannot see a quotient that drifts from the graph.
-# This differential compares the quotient forward with the full-graph
-# forward training runs, bit for bit, for all five conv families and a
-# trained model on every held-out design, the folding budget and the
-# synthetic corpus; release mode keeps the full sweep short, and it runs
-# at both worker counts like the rest of the suite.
-echo "==> quotient forward differential (QOR_THREADS=1, 4)"
-QOR_THREADS=1 cargo test -q --release -p qor-core --test quotient_forward
-QOR_THREADS=4 cargo test -q --release -p qor-core --test quotient_forward
 
 # Sweep correctness smoke: one short dse_sweep round through a fresh
 # Session. The benchmark exits 1 when a kernel's predicted front misses its

@@ -276,14 +276,6 @@ impl Indices {
         }
     }
 
-    /// Every index, widened.
-    fn to_vec(&self) -> Vec<u32> {
-        match self {
-            Indices::Narrow(v) => v.iter().map(|&i| u32::from(i)).collect(),
-            Indices::Wide(v) => v.clone(),
-        }
-    }
-
     /// Pairs of consecutive indices (edges), unzipped into their first
     /// and second ends.
     fn unzip(&self) -> (Vec<u32>, Vec<u32>) {
@@ -310,8 +302,9 @@ impl Indices {
 /// equal in-neighbour classes in edge order, so every propagation layer
 /// gives its nodes equal rows, at any depth (see `gnn::Batch::quotient`).
 pub(crate) struct Quotient {
-    /// Per node: its class.
-    classes: Indices,
+    /// Per node: its class, shared with every batch built over the
+    /// quotient.
+    classes: Arc<Vec<u32>>,
     /// Per class: its representative, the class's first node; ascending.
     reps: Indices,
     /// The representatives' mirrored in-edges in batch order, `src, dst`
@@ -427,7 +420,7 @@ impl Quotient {
             }
         }
         Quotient {
-            classes: Indices::new(n, &class),
+            classes: Arc::new(class),
             reps: Indices::new(n, &reps),
             edges: Indices::new(n, &edges),
         }
@@ -539,7 +532,10 @@ impl Skeleton {
     /// representatives' rows of [`Skeleton::materialize`], their mirrored
     /// in-edges as classes, the aggregates of every node, and the class of
     /// every node.
-    pub(crate) fn materialize_quotient(&self, supers: &[SuperFeatures]) -> (GraphData, Vec<u32>) {
+    pub(crate) fn materialize_quotient(
+        &self,
+        supers: &[SuperFeatures],
+    ) -> (GraphData, Arc<Vec<u32>>) {
         let quotient = self.quotient();
         let (x, g_feats) = self.write(supers, Some(&quotient.reps));
         let (src, dst) = quotient.edges.unzip();
@@ -549,7 +545,7 @@ impl Skeleton {
             dst,
             g_feats,
         };
-        (data, quotient.classes.to_vec())
+        (data, Arc::clone(&quotient.classes))
     }
 
     /// The skeleton's quotient, refined on the first call.
@@ -698,7 +694,10 @@ mod tests {
             .map(|r| LoopId::from_path(&[r]))
             .collect();
         let features = vec![SuperFeatures::default(); supers];
-        Skeleton::of(g, &roots).materialize_quotient(&features).1
+        Skeleton::of(g, &roots)
+            .materialize_quotient(&features)
+            .1
+            .to_vec()
     }
 
     #[test]

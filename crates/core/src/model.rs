@@ -948,7 +948,7 @@ impl HierarchicalModel {
         let (data, classes) = skeleton.materialize_quotient(supers);
         obs::metrics::counter_add("gnn_g/nodes", classes.len() as u64);
         obs::metrics::counter_add("gnn_g/rows", data.num_nodes() as u64);
-        let batch = Batch::quotient(data, Arc::new(classes));
+        let batch = Batch::quotient(data, classes);
         let out = self.model_g.outputs(&self.store_g, &batch);
         out.row(0).try_into().expect("four global outputs")
     }

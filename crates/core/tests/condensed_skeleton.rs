@@ -11,14 +11,22 @@
 //! `Session` builds skeletons and that a repeated prediction builds no
 //! CDFG at all.
 //!
-//! Every test takes `SERIAL`: one of them reads the process-wide
-//! `cdfg/graphs_built` counter, which the others move.
+//! Every prediction runs `GNN_g` over one row per colour-refinement class
+//! of that graph's nodes; training runs it over every node. On the same
+//! designs the tests prove the two forwards' raw outputs
+//! `f32::to_bits`-equal for all five conv families (seeded), and on the
+//! held-out spaces for one trained quick model too, and pin how far the
+//! quotient shrinks the held-out graphs through the `gnn_g/{nodes,rows}`
+//! counters.
+//!
+//! Every test takes `SERIAL`: some read process-wide counters, which the
+//! others move.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use cdfg::{GraphBuilder, GraphOptions, SuperFeatures};
-use gnn::GraphData;
+use gnn::{ConvKind, GraphData};
 use hir::Function;
 use pragma::{LoopId, PragmaConfig};
 use qor_core::{graph_aggregates, graph_to_gnn, split_hierarchy, HierarchicalModel, TrainOptions};
@@ -47,6 +55,18 @@ fn model(max_nodes: usize) -> HierarchicalModel {
     let mut opts = TrainOptions::quick().with_hidden(4);
     opts.graph_max_nodes = max_nodes;
     HierarchicalModel::new(&opts)
+}
+
+/// One untrained quick model per conv family, seeded.
+fn families(max_nodes: usize) -> Vec<HierarchicalModel> {
+    ConvKind::all()
+        .into_iter()
+        .map(|conv| {
+            let mut opts = TrainOptions::quick().with_conv(conv).with_seed(31);
+            opts.graph_max_nodes = max_nodes;
+            HierarchicalModel::new(&opts)
+        })
+        .collect()
 }
 
 /// Seeded, non-default super features for every inner region of `cfg`.
@@ -80,10 +100,27 @@ fn bits(data: &GraphData) -> (Vec<u32>, &[u32], &[u32], Vec<u32>) {
     )
 }
 
+/// Whether `model`'s `GNN_g` forward over the quotient of the design
+/// `cfg` equals, bit for bit, its forward over `graph`, the design's whole
+/// condensed graph.
+fn quotient_matches(
+    model: &HierarchicalModel,
+    func: &Function,
+    cfg: &PragmaConfig,
+    supers: &BTreeMap<LoopId, SuperFeatures>,
+    graph: GraphData,
+) -> bool {
+    let got = model.global_outputs(func, cfg, supers);
+    let want = model.global_outputs_of(graph);
+    got.map(f32::to_bits) == want.map(f32::to_bits)
+}
+
 /// Checks skeleton + patch against the full condensed build for every
-/// configuration; returns how many designs it compared.
+/// configuration, and every family's quotient forward against its
+/// forward over that graph; returns how many designs it compared.
 fn compare(max_nodes: usize, cases: &[(String, Function, Vec<PragmaConfig>)]) -> usize {
     let model = model(max_nodes);
+    let families = families(max_nodes);
     let mut compared = 0;
     for (name, func, configs) in cases {
         let mismatches = par::map("test/condensed_skeleton", configs, |i, cfg| {
@@ -91,13 +128,19 @@ fn compare(max_nodes: usize, cases: &[(String, Function, Vec<PragmaConfig>)]) ->
             let got = model.condensed_graph(func, cfg, &supers);
             let graph = GraphBuilder::new(func, cfg)
                 .options(GraphOptions { max_nodes })
-                .condense(supers)
+                .condense(supers.clone())
                 .build();
             let mut want = graph_to_gnn(&graph);
             want.g_feats = graph_aggregates(&graph);
-            (bits(&got) != bits(&want)).then_some(i)
+            if bits(&got) != bits(&want) {
+                return Some(format!("{i} (graph)"));
+            }
+            let family = families
+                .iter()
+                .find(|m| !quotient_matches(m, func, cfg, &supers, got.clone()))?;
+            Some(format!("{i} ({} quotient)", family.options().conv))
         });
-        let bad: Vec<usize> = mismatches.into_iter().flatten().collect();
+        let bad: Vec<String> = mismatches.into_iter().flatten().collect();
         assert!(
             bad.is_empty(),
             "{name} at budget {max_nodes}: designs {bad:?}"
@@ -133,15 +176,22 @@ fn cases() -> Vec<(String, Function, Vec<PragmaConfig>)> {
 #[test]
 fn skeleton_patch_equals_the_condensed_build() {
     let _serial = serial();
-    let cases = cases();
-    let held_out: usize = cases
-        .iter()
-        .filter(|c| HELD_OUT.contains(&c.0.as_str()))
-        .map(|c| c.2.len())
-        .sum();
+    obs::metrics::enable_always();
+    let counter = |name| obs::metrics::counter_value(name);
+    let (held, rest): (Vec<_>, Vec<_>) = cases()
+        .into_iter()
+        .partition(|c| HELD_OUT.contains(&c.0.as_str()));
+    let held_out: usize = held.iter().map(|c| c.2.len()).sum();
     assert_eq!(held_out, 4135);
     let quick = TrainOptions::quick().graph_max_nodes;
-    let compared = compare(quick, &cases);
+    let (nodes, rows) = (counter("gnn_g/nodes"), counter("gnn_g/rows"));
+    let mut compared = compare(quick, &held);
+    // per family, the quotient keeps 205,823 of the 538,238 held-out
+    // node rows
+    let nodes = counter("gnn_g/nodes") - nodes;
+    let rows = counter("gnn_g/rows") - rows;
+    assert_eq!((nodes, rows), (5 * 538_238, 5 * 205_823));
+    compared += compare(quick, &rest);
     assert!(compared > held_out + 12 * SAMPLE_PER_KERNEL, "{compared}");
 }
 
@@ -149,6 +199,30 @@ fn skeleton_patch_equals_the_condensed_build() {
 fn skeleton_patch_equals_the_condensed_build_under_a_folding_budget() {
     let _serial = serial();
     compare(SMALL_BUDGET, &cases());
+}
+
+/// A trained model's quotient forward, under its own predicted super
+/// features, equals its forward over the whole condensed graph on every
+/// held-out design.
+#[test]
+fn trained_quotient_forward_equals_the_full_forward() {
+    let _serial = serial();
+    let opts = TrainOptions::quick().with_epochs(2).with_max_designs(8);
+    let (model, _) = HierarchicalModel::train_on_kernels(&opts).unwrap();
+    let mut compared = 0;
+    for name in HELD_OUT {
+        let func = kernels::lower_kernel(name).unwrap();
+        let configs = kernels::design_space(&func).enumerate();
+        let mismatches = par::map("test/quotient_trained", &configs, |i, cfg| {
+            let supers = model.predict_supers(&func, cfg);
+            let graph = model.condensed_graph(&func, cfg, &supers);
+            (!quotient_matches(&model, &func, cfg, &supers, graph)).then_some(i)
+        });
+        let bad: Vec<usize> = mismatches.into_iter().flatten().collect();
+        assert!(bad.is_empty(), "{name}: designs {bad:?}");
+        compared += configs.len();
+    }
+    assert_eq!(compared, 4135);
 }
 
 /// A session sweep of bicg builds one skeleton per distinct condensed

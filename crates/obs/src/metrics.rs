@@ -205,8 +205,11 @@ static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
 
 fn with_metric(name: &str, make: impl FnOnce() -> Metric, update: impl FnOnce(&mut Metric)) {
     let mut reg = REGISTRY.lock().unwrap();
-    let slot = reg.entry(name.to_string()).or_insert_with(make);
-    update(slot);
+    // only a metric's first record allocates its name
+    match reg.get_mut(name) {
+        Some(slot) => update(slot),
+        None => update(reg.entry(name.to_string()).or_insert_with(make)),
+    }
 }
 
 /// Adds `delta` to the named counter (creating it at zero).
