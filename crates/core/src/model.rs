@@ -130,13 +130,6 @@ impl TrainOptions {
         self
     }
 
-    /// Sets the mini-batch size (graphs).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Sets the Adam learning rate.
     #[must_use]
     pub fn with_lr(mut self, lr: f32) -> Self {
@@ -155,13 +148,6 @@ impl TrainOptions {
     #[must_use]
     pub fn with_data_seed(mut self, seed: u64) -> Self {
         self.data.seed = seed;
-        self
-    }
-
-    /// Sets the progress print period in epochs (0 = silent).
-    #[must_use]
-    pub fn with_log_every(mut self, log_every: usize) -> Self {
-        self.log_every = log_every;
         self
     }
 

@@ -65,7 +65,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 use hir::Function;
 use hlsim::Qor;
@@ -134,12 +133,12 @@ impl CacheStats {
     }
 }
 
-/// One prediction plus where its time went and which caches answered.
+/// One prediction plus which caches answered.
 ///
 /// Returned by [`Session::predict_kernel_report`] /
-/// [`Session::predict_source_report`]; servers turn this into per-stage
-/// flight-recorder timings and cache hit/miss counts without a second
-/// stats diff.
+/// [`Session::predict_source_report`]; servers turn this into flight-record
+/// cache hit/miss counts without a second stats diff. Where the time went
+/// is read from the prediction's `lower`, `prepare` and `infer` spans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictReport {
     /// The predicted quality of result.
@@ -149,13 +148,6 @@ pub struct PredictReport {
     pub kernel_cache_hit: bool,
     /// Whether the prepare executed no query (a whole-design repeat).
     pub prepared_cache_hit: bool,
-    /// Microseconds spent parsing + lowering (0 when the kernel map
-    /// answered before lowering).
-    pub lower_us: u64,
-    /// Microseconds spent preparing the front half.
-    pub prepare_us: u64,
-    /// Microseconds spent in the GNN forward pass.
-    pub infer_us: u64,
     /// Incremental query counts of this prediction's prepare.
     pub incr: KindStats,
 }
@@ -530,8 +522,12 @@ impl Session {
         Ok(self.predict_source_report(top, source, cfg)?.qor)
     }
 
-    /// As [`Session::predict_source`], but also reports per-stage timings
-    /// and cache hit/miss flags.
+    /// As [`Session::predict_source`], but also reports cache hit/miss
+    /// flags.
+    ///
+    /// The prediction runs in three spans, `lower` (the kernel-map lookup
+    /// and, on a miss, parsing and lowering), `prepare` and `infer`: under
+    /// a [flight unit](obs::flight()) they are its stages.
     ///
     /// Every session prediction goes through here. Its inner-region forward
     /// passes read and fill the output slots of the memoized regions under
@@ -540,8 +536,9 @@ impl Session {
     /// never touch the slots.
     ///
     /// Emits one `session.predict` debug event (see [`obs::log`]) carrying
-    /// the active trace context, so a request trace can be followed from
-    /// the HTTP layer into the cache layers.
+    /// the active trace context and the three spans' durations, so a
+    /// request trace can be followed from the HTTP layer into the cache
+    /// layers.
     ///
     /// # Errors
     ///
@@ -552,11 +549,20 @@ impl Session {
         source: &str,
         cfg: &PragmaConfig,
     ) -> Result<PredictReport, QorError> {
-        let (prepared, mut report) = self.front_half(top, source, cfg)?;
-        let t = Instant::now();
+        // the spans read the clock only when a flight unit, the span arena
+        // or the debug event below uses their durations
+        let debug = obs::log::enabled(Level::Debug);
+        let open = if debug { obs::timer } else { obs::span };
+        let lower = open("lower");
+        let (entry, kernel_cache_hit) = self.entry(top, source)?;
+        let lower = lower.finish();
+        let prepare = open("prepare");
+        let (prepared, mut report) = self.prepare(&entry, kernel_cache_hit, cfg);
+        let prepare = prepare.finish();
+        let infer = open("infer");
         let forward = self.model.predict_prepared_memo(&prepared, self.token);
+        let infer = infer.finish();
         report.qor = forward.qor;
-        report.infer_us = t.elapsed().as_micros() as u64;
         let hits = forward.inner_hits as u64;
         let misses = prepared.num_inner() as u64 - hits;
         self.cache.inner_hits.fetch_add(hits, Ordering::Relaxed);
@@ -567,7 +573,8 @@ impl Session {
             self.cache.skeleton_builds.fetch_add(1, Ordering::Relaxed);
             obs::metrics::counter_add("session/skeleton/builds", 1);
         }
-        if obs::log::enabled(Level::Debug) {
+        if debug {
+            let us = |d: std::time::Duration| Json::UInt(d.as_micros() as u64);
             obs::log::event(
                 Level::Debug,
                 "session.predict",
@@ -575,9 +582,9 @@ impl Session {
                     ("top", Json::str(top)),
                     ("kernel_hit", Json::Bool(report.kernel_cache_hit)),
                     ("prepared_hit", Json::Bool(report.prepared_cache_hit)),
-                    ("lower_us", Json::UInt(report.lower_us)),
-                    ("prepare_us", Json::UInt(report.prepare_us)),
-                    ("infer_us", Json::UInt(report.infer_us)),
+                    ("lower_us", us(lower)),
+                    ("prepare_us", us(prepare)),
+                    ("infer_us", us(infer)),
                 ],
             );
         }
@@ -591,13 +598,12 @@ impl Session {
     ///
     /// [`QorError::UnknownKernel`] for names outside the bundled set.
     pub fn kernel_function(&self, kernel: &str) -> Result<Arc<Function>, QorError> {
-        let (entry, _, _) = self.entry(kernel, bundled_source(kernel)?)?;
+        let (entry, _) = self.entry(kernel, bundled_source(kernel)?)?;
         Ok(entry.func.clone())
     }
 
     /// Builds the prepared front half of a bundled kernel without running
-    /// inference; returns the design and a report whose `qor` is zeroed
-    /// and `infer_us` is 0.
+    /// inference; returns the design and a report whose `qor` is zeroed.
     ///
     /// This is the benchmarking entry point: `qor-bench incr_sweep` uses
     /// it to time prepare cost in isolation and to compare incremental
@@ -612,30 +618,28 @@ impl Session {
         kernel: &str,
         cfg: &PragmaConfig,
     ) -> Result<(Arc<PreparedDesign>, PredictReport), QorError> {
-        self.front_half(kernel, bundled_source(kernel)?, cfg)
+        let (entry, kernel_cache_hit) = self.entry(kernel, bundled_source(kernel)?)?;
+        Ok(self.prepare(&entry, kernel_cache_hit, cfg))
     }
 
-    /// Looks up (or lowers and inserts) the kernel entry; returns it,
-    /// whether the map answered, and the microseconds spent lowering on a
-    /// miss.
-    fn entry(&self, top: &str, source: &str) -> Result<(Arc<Entry>, bool, u64), QorError> {
+    /// Looks up (or lowers and inserts) the kernel entry; returns it and
+    /// whether the map answered.
+    fn entry(&self, top: &str, source: &str) -> Result<(Arc<Entry>, bool), QorError> {
         let cache = &*self.cache;
         let key = (self.prepare_fp, kernel_key(top, source));
         let resident = lock(&cache.lru).get(key);
         if let Some(entry) = resident.filter(|entry| entry.holds(top, source)) {
             cache.count_kernel(true);
-            return Ok((entry, true, 0));
+            return Ok((entry, true));
         }
         // lower outside the lock: parsing is the expensive part, and two
         // racing threads produce identical functions anyway
-        let t = Instant::now();
         let program = frontc::parse(source)?;
         let module = hir::lower(&program)?;
         let func = module
             .function(top)
             .ok_or_else(|| QorError::UnknownKernel(top.to_string()))?
             .clone();
-        let lower_us = t.elapsed().as_micros() as u64;
         let entry = Arc::new(Entry {
             top: top.into(),
             source: source.into(),
@@ -645,7 +649,7 @@ impl Session {
         });
         if cache.capacity == 0 {
             cache.count_kernel(false);
-            return Ok((entry, false, lower_us));
+            return Ok((entry, false));
         }
         let mut lru = lock(&cache.lru);
         let (kept, evicted) = lru.insert(key, Arc::clone(&entry), cache.capacity);
@@ -660,19 +664,17 @@ impl Session {
         // too, so only the call whose entry is kept counts the miss
         let hit = !Arc::ptr_eq(&kept, &entry);
         cache.count_kernel(hit);
-        Ok((kept, hit, lower_us))
+        Ok((kept, hit))
     }
 
-    /// Runs the front half of `top` under `cfg` through the kernel's query
-    /// database; returns the design and a report with a zeroed `qor`.
-    fn front_half(
+    /// Runs the front half of `entry` under `cfg` through the kernel's
+    /// query database; returns the design and a report with a zeroed `qor`.
+    fn prepare(
         &self,
-        top: &str,
-        source: &str,
+        entry: &Arc<Entry>,
+        kernel_cache_hit: bool,
         cfg: &PragmaConfig,
-    ) -> Result<(Arc<PreparedDesign>, PredictReport), QorError> {
-        let (entry, kernel_cache_hit, lower_us) = self.entry(top, source)?;
-        let t = Instant::now();
+    ) -> (Arc<PreparedDesign>, PredictReport) {
         // one lock per kernel: prepares of different kernels run in
         // parallel, while neighbors of one kernel share its memos
         let mut db = lock(&entry.db);
@@ -688,9 +690,8 @@ impl Session {
         drop(db);
         let prepared_cache_hit = incr.misses + incr.recomputes == 0;
         if !prepared_cache_hit {
-            self.cache.trim_versions(&entry);
+            self.cache.trim_versions(entry);
         }
-        let prepare_us = t.elapsed().as_micros() as u64;
 
         let cache = &*self.cache;
         if prepared_cache_hit {
@@ -707,12 +708,9 @@ impl Session {
             qor: Qor::default(),
             kernel_cache_hit,
             prepared_cache_hit,
-            lower_us,
-            prepare_us,
-            infer_us: 0,
             incr,
         };
-        Ok((Arc::new(prepared), report))
+        (Arc::new(prepared), report)
     }
 }
 

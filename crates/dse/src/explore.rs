@@ -1,7 +1,5 @@
 //! The model-guided DSE driver with tool-time accounting.
 
-use std::time::Instant;
-
 use hir::Function;
 use hlsim::Qor;
 use pragma::PragmaConfig;
@@ -100,30 +98,13 @@ pub fn explore(
     predict: impl Fn(&Function, &PragmaConfig) -> Qor + Sync,
     hls_secs_per_design: f64,
 ) -> Result<ExploreOutcome, QorError> {
-    let sp = obs::span("dse_explore");
-    sp.attr("kernel", kernel);
-    sp.attr("configs", configs.len());
-
-    let (mut points, vivado_secs) = oracle_sweep(func, configs)?;
-
-    // model predictions (measured)
-    let pred_sp = obs::span("dse_predict_sweep");
-    let t0 = Instant::now();
-    let predictions = par::map("dse/predict", configs, |_, config| predict(func, config));
-    for (p, q) in points.iter_mut().zip(predictions) {
-        p.predicted = q;
-    }
-    let inference_secs = t0.elapsed().as_secs_f64();
-    obs::metrics::counter_add("dse/points_evaluated", points.len() as u64);
-    if inference_secs > 0.0 {
-        pred_sp.attr("points_per_sec", points.len() as f64 / inference_secs);
-    }
-    drop(pred_sp);
-    let explore_secs = inference_secs + hls_secs_per_design * configs.len() as f64;
-
-    let outcome = score(kernel, points, vivado_secs, explore_secs);
-    sp.attr("adrs_percent", outcome.adrs_percent());
-    Ok(outcome)
+    sweep(
+        kernel,
+        func,
+        configs,
+        |func, config| Ok(predict(func, config)),
+        hls_secs_per_design,
+    )
 }
 
 /// Runs model-guided DSE over `configs` of a bundled kernel through a
@@ -138,34 +119,46 @@ pub fn explore(
 /// # Errors
 ///
 /// [`QorError::UnknownKernel`] for names outside the bundled set;
-/// otherwise propagates oracle evaluation failures.
+/// otherwise propagates oracle evaluation and prediction failures.
 pub fn explore_with_session(
     session: &Session,
     kernel: &str,
     configs: &[PragmaConfig],
     hls_secs_per_design: f64,
 ) -> Result<ExploreOutcome, QorError> {
-    let sp = obs::span("dse_explore_session");
+    let func = session.kernel_function(kernel)?;
+    sweep(
+        kernel,
+        &func,
+        configs,
+        |_, config| session.predict_kernel(kernel, config),
+        hls_secs_per_design,
+    )
+}
+
+/// The body of [`explore`] and [`explore_with_session`]: the oracle sweep,
+/// the timed prediction sweep, and the score.
+fn sweep(
+    kernel: &str,
+    func: &Function,
+    configs: &[PragmaConfig],
+    predict: impl Fn(&Function, &PragmaConfig) -> Result<Qor, QorError> + Sync,
+    hls_secs_per_design: f64,
+) -> Result<ExploreOutcome, QorError> {
+    let sp = obs::span("dse_explore");
     sp.attr("kernel", kernel);
     sp.attr("configs", configs.len());
 
-    let func = session.kernel_function(kernel)?;
-    let (mut points, vivado_secs) = oracle_sweep(&func, configs)?;
+    let (mut points, vivado_secs) = oracle_sweep(func, configs)?;
 
-    let pred_sp = obs::span("dse_predict_sweep");
-    let t0 = Instant::now();
-    let predictions = par::try_map("dse/predict", configs, |_, config| {
-        session.predict_kernel(kernel, config)
-    })?;
+    // model predictions (measured)
+    let pred_sp = obs::timer("dse_predict_sweep");
+    let predictions = par::try_map("dse/predict", configs, |_, config| predict(func, config))?;
+    let inference_secs = pred_sp.finish().as_secs_f64();
     for (p, q) in points.iter_mut().zip(predictions) {
         p.predicted = q;
     }
-    let inference_secs = t0.elapsed().as_secs_f64();
     obs::metrics::counter_add("dse/points_evaluated", points.len() as u64);
-    if inference_secs > 0.0 {
-        pred_sp.attr("points_per_sec", points.len() as f64 / inference_secs);
-    }
-    drop(pred_sp);
     let explore_secs = inference_secs + hls_secs_per_design * configs.len() as f64;
 
     let outcome = score(kernel, points, vivado_secs, explore_secs);

@@ -124,11 +124,6 @@ impl Normalizer {
             *v = *v * s + m;
         }
     }
-
-    /// Un-standardizes a single column value.
-    pub fn inverse_one(&self, col: usize, v: f32) -> f32 {
-        v * self.std[col] + self.mean[col]
-    }
 }
 
 #[cfg(test)]

@@ -74,16 +74,6 @@ impl std::fmt::Display for Qor {
 }
 
 impl Qor {
-    /// Element-wise sum (used when composing loop regions).
-    pub fn combine_resources(&self, other: &Qor) -> Qor {
-        Qor {
-            latency: self.latency, // latency composes separately
-            lut: self.lut + other.lut,
-            ff: self.ff + other.ff,
-            dsp: self.dsp + other.dsp,
-        }
-    }
-
     /// The four metrics as an array `[latency, lut, ff, dsp]`.
     pub fn as_array(&self) -> [u64; 4] {
         [self.latency, self.lut, self.ff, self.dsp]

@@ -163,6 +163,16 @@ impl KindStats {
             reused: self.reused.saturating_sub(other.reused),
         }
     }
+
+    /// Labels this thread's open flight unit (see [`obs::flight()`]) with
+    /// `incr_hits`, `incr_misses` and `incr_recomputes` when any query ran.
+    pub fn label_flight(&self) {
+        if self.hits + self.misses + self.recomputes > 0 {
+            obs::flight::attr("incr_hits", self.hits);
+            obs::flight::attr("incr_misses", self.misses);
+            obs::flight::attr("incr_recomputes", self.recomputes);
+        }
+    }
 }
 
 struct Input<V> {

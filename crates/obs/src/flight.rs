@@ -1,32 +1,40 @@
 //! The flight recorder: an always-on, fixed-capacity ring buffer holding
-//! the last N *completed* request/job traces.
+//! the last N *completed* request/job traces, and the units of work that
+//! write them.
 //!
-//! Unlike spans and metrics, the recorder does not depend on `QOR_TRACE`
-//! or `QOR_REPORT`: a serving process keeps it populated at all times so
-//! `GET /debug/requests` can answer "what did the last hundred requests
-//! do and where did they spend their time" after the fact, with bounded
-//! memory. Capacity comes from `QOR_FLIGHT_CAP` (default
-//! [`DEFAULT_CAPACITY`]; `0` disables recording); every record is clamped
-//! to [`MAX_STAGES`] stages and [`MAX_LABEL_BYTES`]-byte strings on entry,
-//! so the whole buffer is `O(capacity)` regardless of what callers pass
-//! in.
+//! A unit ([`crate::flight()`]) scopes one HTTP request or DSE job to the
+//! thread that serves it, the way [`crate::trace::adopt`] scopes a trace
+//! id. Every span entered *directly* under it becomes one of its stages,
+//! with or without `QOR_TRACE`/`QOR_REPORT`; code below it adds labels
+//! with [`attr`] and [`cache`]. On close it writes one [`FlightRecord`]
+//! and emits its one Info log event from the same numbers.
 //!
-//! A record summarizes one finished unit of work: its [`crate::trace`] id,
-//! a kind (`"http"`, `"job"`, …), per-stage wall-clock timings, byte
-//! sizes, and cache hit/miss counts. Records are inserted on completion
-//! (never while in flight), evicting the oldest entry once full.
+//! The recorder does not depend on `QOR_TRACE` or `QOR_REPORT`: a serving
+//! process keeps it populated at all times so `GET /debug/requests` can
+//! answer "what did the last hundred requests do and where did they spend
+//! their time" after the fact. Capacity comes from `QOR_FLIGHT_CAP`
+//! (default [`DEFAULT_CAPACITY`]; `0` disables recording). An open unit
+//! keeps at most [`MAX_STAGES`] stages, and every record is clamped to
+//! [`MAX_STAGES`] stages and [`MAX_LABEL_BYTES`]-byte strings on entry, so
+//! the whole buffer is `O(capacity)`. Records are inserted on completion,
+//! evicting the oldest entry once full.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use crate::json::Json;
+use crate::log::{self, Level};
+use crate::span::now_ns;
 
 /// Ring capacity when `QOR_FLIGHT_CAP` is not set.
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// Stages kept per record; extra stages are dropped (a `...` stage with
-/// the remaining time is appended so totals still add up).
+/// Stages kept per record; extra stages fold into a last `...` stage
+/// carrying their time, so totals still add up.
 pub const MAX_STAGES: usize = 32;
 
 /// Byte budget for each string field (label, kind, outcome, stage names).
@@ -46,7 +54,7 @@ pub struct FlightRecord {
     pub outcome: String,
     /// Start, µs since the process observability epoch.
     pub start_us: u64,
-    /// End-to-end duration in µs.
+    /// End-to-end duration in µs: the unit's wall time.
     pub total_us: u64,
     /// Request/input payload bytes.
     pub bytes_in: u64,
@@ -56,7 +64,8 @@ pub struct FlightRecord {
     pub cache_hits: u64,
     /// Session-cache misses attributable to this work.
     pub cache_misses: u64,
-    /// Per-stage `(name, dur_us)` timings, in execution order.
+    /// Per-stage `(name, dur_us)` timings, in execution order: the spans
+    /// entered directly under the unit.
     pub stages: Vec<(String, u64)>,
     /// Free-form `(key, value)` labels — e.g. which model version served
     /// a prediction (`("model", "default@3")`) or which batch it rode in.
@@ -102,26 +111,34 @@ impl FlightRecord {
             truncate_in_place(key);
             truncate_in_place(value);
         }
-        if self.stages.len() > MAX_STAGES {
-            let dropped: u64 = self.stages[MAX_STAGES - 1..]
-                .iter()
-                .map(|&(_, us)| us)
-                .sum();
-            self.stages.truncate(MAX_STAGES - 1);
-            self.stages.push(("...".to_string(), dropped));
+        for (name, us) in std::mem::take(&mut self.stages) {
+            push_stage(&mut self.stages, name, us);
         }
         self
     }
 
+    /// The part of [`FlightRecord::total_us`] no stage covers.
+    pub fn unattributed_us(&self) -> u64 {
+        let staged: u64 = self.stages.iter().map(|&(_, us)| us).sum();
+        self.total_us.saturating_sub(staged)
+    }
+
     /// Serializes the record for `GET /debug/requests` and tests.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("trace", Json::Str(format!("{:016x}", self.trace))),
+        let mut fields = vec![("trace", Json::Str(format!("{:016x}", self.trace)))];
+        fields.extend(self.fields());
+        Json::obj(fields)
+    }
+
+    /// Every field but the trace id (a log event carries its own).
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("kind", Json::str(&self.kind)),
             ("label", Json::str(&self.label)),
             ("outcome", Json::str(&self.outcome)),
             ("start_us", Json::UInt(self.start_us)),
             ("total_us", Json::UInt(self.total_us)),
+            ("unattributed_us", Json::UInt(self.unattributed_us())),
             ("bytes_in", Json::UInt(self.bytes_in)),
             ("bytes_out", Json::UInt(self.bytes_out)),
             ("cache_hits", Json::UInt(self.cache_hits)),
@@ -146,7 +163,7 @@ impl FlightRecord {
                         .collect(),
                 ),
             ),
-        ])
+        ]
     }
 }
 
@@ -158,6 +175,143 @@ fn truncate_in_place(s: &mut String) {
             cut -= 1;
         }
         s.truncate(cut);
+    }
+}
+
+/// Appends a stage, folding those past the first [`MAX_STAGES`] - 1 into
+/// a last `...` stage that keeps their time.
+fn push_stage(stages: &mut Vec<(String, u64)>, name: String, us: u64) {
+    if stages.len() < MAX_STAGES {
+        stages.push((name, us));
+    } else {
+        let last = &mut stages[MAX_STAGES - 1];
+        last.0 = "...".to_string();
+        last.1 += us;
+    }
+}
+
+thread_local! {
+    /// The record of this thread's open unit.
+    static UNIT: RefCell<Option<FlightRecord>> = const { RefCell::new(None) };
+    /// Spans open under this thread's unit; `None` when no unit is open
+    /// (a plain `Cell`, so the span fast path stays one cheap read).
+    static DEPTH: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Where a span sits under its thread's open unit.
+pub(crate) enum Place {
+    /// No unit is open.
+    Outside,
+    /// Directly under the unit: one of its stages.
+    Stage(String),
+    /// Under another span of the unit.
+    Nested,
+}
+
+/// Places a span being entered.
+pub(crate) fn enter(name: &str) -> Place {
+    let Some(depth) = DEPTH.get() else {
+        return Place::Outside;
+    };
+    DEPTH.set(Some(depth + 1));
+    if depth == 0 {
+        Place::Stage(name.to_string())
+    } else {
+        Place::Nested
+    }
+}
+
+/// Closes a span placed by [`enter`] after `dur_ns`.
+pub(crate) fn exit(place: Place, dur_ns: u64) {
+    if matches!(place, Place::Outside) {
+        return;
+    }
+    DEPTH.set(DEPTH.get().map(|depth| depth.saturating_sub(1)));
+    if let Place::Stage(name) = place {
+        with_unit(|rec| push_stage(&mut rec.stages, name, dur_ns / 1_000));
+    }
+}
+
+/// Applies `f` to the record of this thread's open unit, if any.
+fn with_unit(f: impl FnOnce(&mut FlightRecord)) {
+    UNIT.with(|unit| unit.borrow_mut().as_mut().map(f));
+}
+
+/// Labels this thread's open unit with `key = value` (no-op outside one).
+pub fn attr(key: &str, value: impl ToString) {
+    with_unit(|rec| rec.attrs.push((key.to_string(), value.to_string())));
+}
+
+/// Adds session-cache hits and misses to this thread's open unit.
+pub fn cache(hits: u64, misses: u64) {
+    with_unit(|rec| {
+        rec.cache_hits += hits;
+        rec.cache_misses += misses;
+    });
+}
+
+/// An open unit of work; see [`crate::flight()`]. Closing it, by
+/// [`Flight::finish`] or by dropping it, writes its flight record.
+#[must_use = "a unit records its stages until it closes"]
+pub struct Flight {
+    start_ns: u64,
+    /// A unit closes on the thread that opened it.
+    _thread: PhantomData<*const ()>,
+}
+
+/// Opens a unit of work of `kind` (`"http"`, `"job"`, …) named `label` on
+/// this thread, stamped with the active trace id. It replaces any unit
+/// already open on the thread.
+pub fn flight(kind: &str, label: &str) -> Flight {
+    let start_ns = now_ns();
+    let mut rec = FlightRecord::new(kind, label);
+    rec.start_us = start_ns / 1_000;
+    UNIT.with(|unit| *unit.borrow_mut() = Some(rec));
+    DEPTH.set(Some(0));
+    Flight {
+        start_ns,
+        _thread: PhantomData,
+    }
+}
+
+impl Flight {
+    /// Sets the outcome token: an HTTP status (`"200"`) or a job state.
+    pub fn outcome(&self, outcome: &str) {
+        with_unit(|rec| rec.outcome = outcome.to_string());
+    }
+
+    /// Sets the request and response payload sizes.
+    pub fn bytes(&self, bytes_in: u64, bytes_out: u64) {
+        with_unit(|rec| (rec.bytes_in, rec.bytes_out) = (bytes_in, bytes_out));
+    }
+
+    /// Closes the unit: writes its flight record and emits `event` at Info,
+    /// carrying `fields` and then the record's own. Returns the unit's
+    /// wall time, the record's `total_us`.
+    pub fn finish(mut self, event: &str, fields: &[(&str, Json)]) -> Duration {
+        self.close(Some((event, fields)))
+    }
+
+    fn close(&mut self, event: Option<(&str, &[(&str, Json)])>) -> Duration {
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        DEPTH.set(None);
+        if let Some(mut rec) = UNIT.with(|unit| unit.borrow_mut().take()) {
+            rec.total_us = dur_ns / 1_000;
+            if let Some((event, fields)) = event.filter(|_| log::enabled(Level::Info)) {
+                let _trace = crate::trace::adopt_raw(rec.trace);
+                let mut all = fields.to_vec();
+                all.extend(rec.fields());
+                log::event(Level::Info, event, &all);
+            }
+            record(rec);
+        }
+        Duration::from_nanos(dur_ns)
+    }
+}
+
+impl Drop for Flight {
+    fn drop(&mut self) {
+        self.close(None);
     }
 }
 

@@ -4,7 +4,8 @@
 //! Six pieces, all std-only and thread-safe:
 //!
 //! * **Spans** — hierarchical wall-clock timing with RAII guards and
-//!   per-span attributes ([`span()`], [`span!`]).
+//!   per-span attributes ([`span()`], [`span!`], [`timer()`]); the one
+//!   stage timer.
 //! * **Metrics** — counters, gauges, per-step series and log-bucketed
 //!   histograms with exact-quantile windows in a global registry
 //!   ([`metrics`]).
@@ -17,7 +18,8 @@
 //! * **Structured log** — leveled JSON-lines events to stderr or a file,
 //!   controlled by `QOR_LOG` ([`log`], [`logev!`]).
 //! * **Flight recorder** — an always-on fixed-capacity ring of the last N
-//!   completed request/job traces at bounded memory ([`flight`]).
+//!   completed request/job traces at bounded memory ([`mod@flight`]), written
+//!   by units of work ([`flight()`]) from the spans entered under them.
 //!
 //! Behaviour is controlled by environment variables, each read once:
 //!
@@ -29,12 +31,13 @@
 //!   [`report::write_report`]).
 //! * `QOR_LOG=level[:path]` — structured JSON-lines event log (see
 //!   [`log`]).
-//! * `QOR_FLIGHT_CAP=N` — flight-recorder capacity (see [`flight`]).
+//! * `QOR_FLIGHT_CAP=N` — flight-recorder capacity (see [`mod@flight`]).
 //!
 //! With none of them set, span/metric collection is disabled and every
-//! recording entry point reduces to one relaxed atomic load —
-//! instrumentation can stay on in hot paths. Trace contexts and the
-//! flight recorder are always on: both are bounded and cost nanoseconds.
+//! recording entry point reduces to one relaxed atomic load (a span adds
+//! one thread-local read) — instrumentation can stay on in hot paths.
+//! Trace contexts and the flight recorder are always on: both are bounded
+//! and cost nanoseconds.
 //! Long-running servers that want live `/metrics` without the unbounded
 //! span arena call [`metrics::enable_always`].
 //!
@@ -61,8 +64,9 @@ pub mod report;
 mod span;
 pub mod trace;
 
+pub use flight::flight;
 pub use json::Json;
-pub use span::{span, Span};
+pub use span::{span, timer, Span};
 pub use trace::TraceId;
 
 use std::sync::atomic::{AtomicU8, Ordering};

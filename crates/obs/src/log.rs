@@ -4,8 +4,13 @@
 //!
 //! ```json
 //! {"ts_us":184733,"level":"info","event":"http.request",
-//!  "trace":"4be1a90cf2307d11","route":"predict","status":200,"dur_us":412}
+//!  "trace":"4be1a90cf2307d11","route":"predict","kind":"http",
+//!  "label":"POST /v1/predict","outcome":"200","total_us":412,
+//!  "unattributed_us":9,"stages":[{"stage":"decode","us":21},...],...}
 //! ```
+//!
+//! (A unit of work's closing event carries its flight record's fields;
+//! see [`mod@crate::flight`].)
 //!
 //! `ts_us` counts from the process observability epoch (same clock as span
 //! `start_us`), `trace` is the active [`crate::trace`] context (omitted
@@ -127,7 +132,7 @@ pub fn event(level: Level, name: &str, fields: &[(&str, Json)]) {
         return;
     }
     let mut obj: Vec<(String, Json)> = Vec::with_capacity(fields.len() + 4);
-    obj.push(("ts_us".to_string(), Json::UInt(span::now_us())));
+    obj.push(("ts_us".to_string(), Json::UInt(span::now_ns() / 1_000)));
     obj.push(("level".to_string(), Json::str(level.name())));
     obj.push(("event".to_string(), Json::str(name)));
     if let Some(trace) = trace::current() {
@@ -147,13 +152,6 @@ pub fn event(level: Level, name: &str, fields: &[(&str, Json)]) {
             let _ = std::io::stderr().write_all(line.as_bytes());
         }
     }
-}
-
-/// Microseconds since the process observability epoch — the clock `ts_us`,
-/// span `start_us` and flight-record `start_us` all share, exposed so
-/// callers can stamp their own records consistently.
-pub fn now_us() -> u64 {
-    span::now_us()
 }
 
 /// The configured level name for diagnostics endpoints (`"off"` when

@@ -2,17 +2,22 @@
 //!
 //! A span is entered with [`crate::span`] (or the [`crate::span!`] macro when
 //! attributes are attached at entry) and closed when the returned guard
-//! drops. Spans nest per thread: a span entered while another is open on the
-//! same thread becomes its child. Spans entered on freshly spawned threads
-//! start new roots in the same global forest.
+//! drops or [`Span::finish`] returns its duration. Spans nest per thread: a
+//! span entered while another is open on the same thread becomes its child.
+//! Spans entered on freshly spawned threads start new roots in the same
+//! global forest.
 //!
-//! When collection is disabled (no `QOR_TRACE`, no `QOR_REPORT`) entering a
-//! span costs one relaxed atomic load and allocates nothing.
+//! A span reads the clock only when something uses its duration: the arena
+//! (collection on), the thread's open [flight unit](crate::flight()) when
+//! the span is one of its stages, or a [`crate::timer`] caller. Otherwise
+//! entering it costs one relaxed atomic load and one thread-local read.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use crate::flight::{self, Place};
 use crate::json::Json;
 use crate::{collecting, trace, trace_level};
 
@@ -42,22 +47,24 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
+/// Nanoseconds since the process observability epoch.
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
-}
-
-/// Microseconds since the process observability epoch (shared clock for
-/// spans, log events and flight records).
-pub(crate) fn now_us() -> u64 {
-    now_ns() / 1_000
 }
 
 /// RAII guard for an open span; the span closes when this drops.
 ///
-/// An inert guard (collection disabled) does no work on drop.
+/// A span closes on the thread that opened it, so the guard is not
+/// `Send`. An inert guard (nothing records the span) does no work on drop.
 #[must_use = "a span guard measures until it is dropped"]
 pub struct Span {
+    /// Clock reading at entry; `None` when the span reads no clock.
+    start_ns: Option<u64>,
+    /// Arena index when collection is on.
     idx: Option<usize>,
+    /// Position under the thread's flight unit.
+    place: Place,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Span {
@@ -73,64 +80,99 @@ impl Span {
             node.attrs.push((key.to_string(), value));
         }
     }
+
+    /// Closes the span and returns the duration it measured: always real
+    /// for a span entered with [`crate::timer`], zero for a [`crate::span()`]
+    /// that nothing recorded.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let place = std::mem::replace(&mut self.place, Place::Outside);
+        let dur_ns = self
+            .start_ns
+            .take()
+            .map_or(0, |start| now_ns().saturating_sub(start));
+        flight::exit(place, dur_ns);
+        if let Some(idx) = self.idx.take() {
+            STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                // balanced by construction: the guard for `idx` is closed
+                // at most once, and inner guards close first
+                debug_assert_eq!(stack.last(), Some(&idx));
+                stack.retain(|&i| i != idx);
+            });
+            let mut arena = ARENA.lock().unwrap();
+            let node = &mut arena[idx];
+            node.dur_ns = Some(dur_ns);
+            if trace_level() >= 1 {
+                let ms = dur_ns as f64 / 1e6;
+                let indent = "  ".repeat(node.depth);
+                if trace_level() >= 2 && !node.attrs.is_empty() {
+                    let attrs: Vec<String> =
+                        node.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                    eprintln!("[obs] {indent}{} {ms:.3}ms {}", node.name, attrs.join(" "));
+                } else {
+                    eprintln!("[obs] {indent}{} {ms:.3}ms", node.name);
+                }
+            }
+        }
+        Duration::from_nanos(dur_ns)
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(idx) = self.idx else { return };
-        let end = now_ns();
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            // balanced by construction: the guard for `idx` is dropped at
-            // most once, and inner guards drop first
-            debug_assert_eq!(stack.last(), Some(&idx));
-            stack.retain(|&i| i != idx);
-        });
-        let mut arena = ARENA.lock().unwrap();
-        let node = &mut arena[idx];
-        node.dur_ns = Some(end.saturating_sub(node.start_ns));
-        if trace_level() >= 1 {
-            let ms = node.dur_ns.unwrap_or(0) as f64 / 1e6;
-            let indent = "  ".repeat(node.depth);
-            if trace_level() >= 2 && !node.attrs.is_empty() {
-                let attrs: Vec<String> =
-                    node.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                eprintln!("[obs] {indent}{} {ms:.3}ms {}", node.name, attrs.join(" "));
-            } else {
-                eprintln!("[obs] {indent}{} {ms:.3}ms", node.name);
-            }
-        }
+        self.close();
     }
 }
 
 /// Enters a span named `name`; see the [crate docs](crate).
 pub fn span(name: &str) -> Span {
-    if !collecting() {
-        return Span { idx: None };
-    }
-    let start_ns = now_ns();
-    let (parent, depth) = STACK.with(|s| {
-        let stack = s.borrow();
-        (stack.last().copied(), stack.len())
-    });
-    let idx = {
-        let mut arena = ARENA.lock().unwrap();
-        arena.push(SpanNode {
-            name: name.to_string(),
-            parent,
-            depth,
-            trace_id: trace::current_raw(),
-            start_ns,
-            dur_ns: None,
-            attrs: Vec::new(),
+    enter(name, false)
+}
+
+/// Enters a span that reads the clock even when nothing records it, for
+/// callers that use the duration [`Span::finish`] returns.
+pub fn timer(name: &str) -> Span {
+    enter(name, true)
+}
+
+fn enter(name: &str, timed: bool) -> Span {
+    let place = flight::enter(name);
+    let collect = collecting();
+    let start_ns = (timed || collect || matches!(place, Place::Stage(_))).then(now_ns);
+    let idx = start_ns.filter(|_| collect).map(|start_ns| {
+        let (parent, depth) = STACK.with(|s| {
+            let stack = s.borrow();
+            (stack.last().copied(), stack.len())
         });
-        arena.len() - 1
-    };
-    STACK.with(|s| s.borrow_mut().push(idx));
-    if trace_level() >= 2 {
-        eprintln!("[obs] {}> {name}", "  ".repeat(depth));
+        let idx = {
+            let mut arena = ARENA.lock().unwrap();
+            arena.push(SpanNode {
+                name: name.to_string(),
+                parent,
+                depth,
+                trace_id: trace::current_raw(),
+                start_ns,
+                dur_ns: None,
+                attrs: Vec::new(),
+            });
+            arena.len() - 1
+        };
+        STACK.with(|s| s.borrow_mut().push(idx));
+        if trace_level() >= 2 {
+            eprintln!("[obs] {}> {name}", "  ".repeat(depth));
+        }
+        idx
+    });
+    Span {
+        start_ns,
+        idx,
+        place,
+        _thread: PhantomData,
     }
-    Span { idx: Some(idx) }
 }
 
 /// Serializes the whole recorded span forest as a JSON array of trees.

@@ -4,7 +4,7 @@
 //! serving layer derives one per HTTP request (or adopts the id sent by an
 //! upstream hop in the `x-qor-trace` header), the session and search
 //! layers run under it, and every span ([`crate::span()`]), structured log
-//! event ([`crate::log`]) and flight record ([`crate::flight`]) produced
+//! event ([`crate::log`]) and flight record ([`mod@crate::flight`]) produced
 //! while it is active carries it. Ids are **FNV-1a derived**, never
 //! random: deriving from the same parts yields the same id in every
 //! process, which keeps recorded traces reproducible run over run.

@@ -110,3 +110,85 @@ fn records_inherit_the_active_trace_and_serialize_it() {
     assert!(json.contains(r#"{"stage":"decode","us":2}"#), "{json}");
     flight::reset();
 }
+
+fn stage_names(rec: &FlightRecord) -> Vec<&str> {
+    rec.stages.iter().map(|(name, _)| name.as_str()).collect()
+}
+
+fn adds_up(rec: &FlightRecord) -> bool {
+    let staged: u64 = rec.stages.iter().map(|&(_, us)| us).sum();
+    staged + rec.unattributed_us() == rec.total_us
+}
+
+#[test]
+fn a_unit_records_its_direct_spans_as_stages_that_add_up() {
+    let _lock = ISOLATION.lock().unwrap_or_else(|e| e.into_inner());
+    flight::set_capacity_for_tests(4);
+    flight::reset();
+    obs::test_support::force_collection(false);
+    let id = trace::derive(&[b"flight-test", b"unit"]);
+    let total = {
+        let _g = trace::adopt(id);
+        let unit = obs::flight("job", "job-9");
+        {
+            let _a = obs::span("first");
+            let _nested = obs::span("nested");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        flight::attr("model", "default@1");
+        flight::cache(1, 2);
+        let second = obs::span("second");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(second.finish() >= std::time::Duration::from_millis(1));
+        unit.outcome("done");
+        unit.bytes(3, 4);
+        unit.finish("test.done", &[])
+    };
+    // outside the unit, an untimed span reads no clock
+    assert_eq!(obs::span("after").finish(), std::time::Duration::ZERO);
+    assert!(obs::timer("timed").finish() > std::time::Duration::ZERO);
+
+    let snap = flight::snapshot();
+    assert_eq!(snap.len(), 1);
+    let rec = &snap[0];
+    assert_eq!(rec.trace, id.0);
+    assert_eq!((rec.kind.as_str(), rec.label.as_str()), ("job", "job-9"));
+    assert_eq!(rec.outcome, "done");
+    assert_eq!(stage_names(rec), ["first", "second"], "{rec:?}");
+    assert!(rec.stages[0].1 >= 2_000, "{rec:?}");
+    assert_eq!(rec.total_us, total.as_micros() as u64);
+    assert!(adds_up(rec), "{rec:?}");
+    assert_eq!((rec.cache_hits, rec.cache_misses), (1, 2));
+    assert_eq!((rec.bytes_in, rec.bytes_out), (3, 4));
+    assert_eq!(rec.attrs, [("model".to_string(), "default@1".to_string())]);
+    let json = flight::to_json().to_string();
+    assert!(
+        json.contains(&format!("\"unattributed_us\":{}", rec.unattributed_us())),
+        "{json}"
+    );
+    flight::reset();
+}
+
+#[test]
+fn an_open_unit_keeps_at_most_max_stages() {
+    let _lock = ISOLATION.lock().unwrap_or_else(|e| e.into_inner());
+    flight::set_capacity_for_tests(4);
+    flight::reset();
+    {
+        let _unit = obs::flight("job", "long");
+        for i in 0..100 {
+            let _step = obs::span(&format!("step-{i}"));
+        }
+        // a dropped unit still writes its record
+    }
+    let snap = flight::snapshot();
+    let rec = &snap[0];
+    assert_eq!(rec.stages.len(), MAX_STAGES);
+    assert_eq!(
+        rec.stages[MAX_STAGES - 2].0,
+        format!("step-{}", MAX_STAGES - 2)
+    );
+    assert_eq!(rec.stages.last().unwrap().0, "...");
+    assert!(adds_up(rec), "{rec:?}");
+    flight::reset();
+}

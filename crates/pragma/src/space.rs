@@ -343,11 +343,6 @@ impl DesignSpace {
 
         out
     }
-
-    /// Number of loops in the space.
-    pub fn num_loops(&self) -> usize {
-        self.roots.iter().map(|r| r.ids().len()).sum()
-    }
 }
 
 #[cfg(test)]

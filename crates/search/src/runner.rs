@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use obs::log::Level;
 use obs::{trace, Json};
-use qor_core::{QorError, Session};
+use qor_core::{KindStats, QorError, Session};
 
 use crate::engine::{SearchOptions, SearchRun, SessionEval};
 use crate::job;
@@ -208,26 +208,20 @@ impl JobRunner {
 
     /// Drives one job to completion on the worker thread.
     ///
-    /// The worker adopts the job's trace context for its whole run, wraps
-    /// every ask/tell iteration in a `dse_step` span, and deposits a
-    /// `kind: "job"` flight record (one stage per iteration) when the job
-    /// leaves [`JobStatus::Running`].
+    /// The worker adopts the job's trace context for its whole run and
+    /// opens a `job` [flight unit](obs::flight()) whose stages are the
+    /// iterations, one `step-N` span each; the unit writes the job's
+    /// flight record and `dse.done` event when the job leaves
+    /// [`JobStatus::Running`].
     fn drive(&self, id: &str, handle: Arc<JobHandle>, mut run: SearchRun) {
         let trace_id = handle.progress.lock().unwrap().trace;
         let _trace_guard = trace::adopt_raw(trace_id);
-        let _job_span = obs::span!(
-            "dse_job",
-            "job" => id,
-            "kernel" => run.options().kernel.as_str(),
-        );
+        let unit = obs::flight("job", id);
+        obs::flight::attr("kernel", &run.options().kernel);
         // one capture for the whole job: stats diffs and candidate scoring
         // both read this session even if the runner's default is swapped
         let session = self.session();
-        let stats_before = session.stats();
-        let started_us = obs::log::now_us();
-        let mut flight = obs::flight::FlightRecord::new("job", id);
-        flight.start_us = started_us;
-        let mut job_busy_ns = 0u64;
+        let before = session.stats();
         let mut step_no = 0u64;
         let eval = SessionEval::new(session.clone(), &run.options().kernel);
         let mut stalled = 0u32;
@@ -238,18 +232,11 @@ impl JobRunner {
             if run.is_done() {
                 break Ok(JobStatus::Done);
             }
-            let t0 = std::time::Instant::now();
-            let step = {
-                let _s = obs::span("dse_step");
-                run.step(&eval)
-            };
-            let step_ns = t0.elapsed().as_nanos() as u64;
-            self.busy_nanos.fetch_add(step_ns, Ordering::Relaxed);
-            job_busy_ns += step_ns;
             step_no += 1;
-            flight
-                .stages
-                .push((format!("step-{step_no}"), step_ns / 1_000));
+            let span = obs::timer(&format!("step-{step_no}"));
+            let step = run.step(&eval);
+            let step_ns = span.finish().as_nanos() as u64;
+            self.busy_nanos.fetch_add(step_ns, Ordering::Relaxed);
             let report = match step {
                 Ok(report) => report,
                 Err(e) => break Err(e),
@@ -293,72 +280,33 @@ impl JobRunner {
             _ => &self.failed,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        self.publish(&handle, &run, status, error);
-        self.finish(
-            id,
-            &run,
-            status,
-            flight,
-            job_busy_ns,
-            &stats_before,
-            &session,
-        );
-    }
 
-    /// Emits the job's completion log event and flight record.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        id: &str,
-        run: &SearchRun,
-        status: JobStatus,
-        mut flight: obs::flight::FlightRecord,
-        busy_ns: u64,
-        stats_before: &qor_core::CacheStats,
-        session: &Session,
-    ) {
-        let outcome = run.outcome();
-        let stats_after = session.stats();
-        flight.outcome = status.name().to_string();
-        flight.total_us = busy_ns / 1_000;
-        flight.cache_hits = (stats_after.hits + stats_after.kernel_hits)
-            - (stats_before.hits + stats_before.kernel_hits);
-        flight.cache_misses = (stats_after.misses + stats_after.kernel_misses)
-            - (stats_before.misses + stats_before.kernel_misses);
+        let after = session.stats();
+        obs::flight::cache(
+            (after.hits + after.kernel_hits) - (before.hits + before.kernel_hits),
+            (after.misses + after.kernel_misses) - (before.misses + before.kernel_misses),
+        );
         // incremental-query attribution: how much of the job's prepare
         // work the pipeline database answered from memo vs recomputed
-        let incr_hits = stats_after.incr_hits - stats_before.incr_hits;
-        let incr_misses = stats_after.incr_misses - stats_before.incr_misses;
-        let incr_recomputes = stats_after.incr_recomputes - stats_before.incr_recomputes;
-        if incr_hits + incr_misses + incr_recomputes > 0 {
-            flight
-                .attrs
-                .push(("incr_hits".to_string(), incr_hits.to_string()));
-            flight
-                .attrs
-                .push(("incr_misses".to_string(), incr_misses.to_string()));
-            flight
-                .attrs
-                .push(("incr_recomputes".to_string(), incr_recomputes.to_string()));
+        KindStats {
+            hits: after.incr_hits - before.incr_hits,
+            misses: after.incr_misses - before.incr_misses,
+            recomputes: after.incr_recomputes - before.incr_recomputes,
+            ..KindStats::default()
         }
-        obs::flight::record(flight);
-        if obs::log::enabled(Level::Info) {
-            obs::log::event(
-                Level::Info,
-                "dse.done",
-                &[
-                    ("job", Json::str(id)),
-                    ("status", Json::str(status.name())),
-                    ("spent", Json::UInt(outcome.spent)),
-                    ("iterations", Json::UInt(outcome.iterations)),
-                    ("front", Json::UInt(outcome.front.len() as u64)),
-                    ("busy_us", Json::UInt(busy_ns / 1_000)),
-                    ("incr_hits", Json::UInt(incr_hits)),
-                    ("incr_misses", Json::UInt(incr_misses)),
-                    ("incr_recomputes", Json::UInt(incr_recomputes)),
-                ],
-            );
-        }
+        .label_flight();
+        unit.outcome(status.name());
+        let outcome = run.outcome();
+        unit.finish(
+            "dse.done",
+            &[
+                ("spent", Json::UInt(outcome.spent)),
+                ("iterations", Json::UInt(outcome.iterations)),
+                ("front", Json::UInt(outcome.front.len() as u64)),
+            ],
+        );
+        // published last, so a job seen finished has its flight record
+        self.publish(&handle, &run, status, error);
     }
 
     fn publish(

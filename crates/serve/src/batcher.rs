@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use obs::trace;
 use pragma::PragmaConfig;
-use qor_core::{Fnv1aHasher, PredictReport};
+use qor_core::{Fnv1aHasher, PredictReport, Session};
 
 use crate::error::{ApiCode, ApiError};
 use crate::registry::{ModelEntry, ModelRegistry};
@@ -126,6 +126,18 @@ impl PredictItem {
         }
         h.write_u64(self.cfg.fingerprint());
         h.finish()
+    }
+
+    /// Predicts this item through `session`.
+    pub(crate) fn predict(&self, session: &Session) -> Result<PredictReport, ApiError> {
+        match (&self.kernel, &self.source) {
+            (Some(kernel), _) => session.predict_kernel_report(kernel, &self.cfg),
+            (_, Some((top, source))) => session.predict_source_report(top, source, &self.cfg),
+            _ => Err(qor_core::QorError::UnknownKernel(
+                "item names neither kernel nor source".into(),
+            )),
+        }
+        .map_err(ApiError::from)
     }
 }
 
@@ -441,17 +453,7 @@ fn run_group(shared: &Shared, entry: &Arc<ModelEntry>, members: Vec<WorkItem>) {
     let results: Vec<Result<PredictReport, ApiError>> =
         par::map("serve/batch", &uniques, |_, work| {
             let _g = trace::adopt_raw(work.item.trace);
-            let session = entry.session();
-            let r = if let Some(kernel) = &work.item.kernel {
-                session.predict_kernel_report(kernel, &work.item.cfg)
-            } else if let Some((top, source)) = &work.item.source {
-                session.predict_source_report(top, source, &work.item.cfg)
-            } else {
-                Err(qor_core::QorError::UnknownKernel(
-                    "item names neither kernel nor source".into(),
-                ))
-            };
-            r.map_err(ApiError::from)
+            work.item.predict(entry.session())
         });
 
     // count served predictions per model version (one per *item*: dedup is

@@ -546,6 +546,28 @@ fn self_test() -> Result<(), String> {
             return Err(format!("deleted job must 404, got {status}"));
         }
         println!("dse job cycle: submitted, ran to done ({spent}/6 evals), deleted");
+
+        // every flight record adds up: its stages plus the unattributed
+        // remainder are its wall time
+        let (status, dump) = client_request(addr, "GET", "/debug/requests", None).map_err(io)?;
+        let doc = json::parse(&dump).map_err(|e| format!("debug/requests: {e}"))?;
+        let records = json::field(&doc, "requests")
+            .and_then(json::as_array)
+            .filter(|records| status == 200 && !records.is_empty())
+            .ok_or_else(|| format!("debug/requests: status {status}: {dump}"))?;
+        for rec in records {
+            let us = |v: &obs::Json, key: &str| json::field(v, key).and_then(json::as_u64);
+            let staged: Option<u64> = json::field(rec, "stages")
+                .and_then(json::as_array)
+                .and_then(|stages| stages.iter().map(|stage| us(stage, "us")).sum());
+            let total = us(rec, "total_us");
+            if total.is_none()
+                || staged.zip(us(rec, "unattributed_us")).map(|(s, u)| s + u) != total
+            {
+                return Err(format!("flight record does not add up: {rec}"));
+            }
+        }
+        println!("flight records: {} add up to their total_us", records.len());
         Ok(())
     })();
     let stats = handle.stats();

@@ -94,11 +94,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use obs::log::Level;
 use obs::metrics::{HistogramDetail, LogHistogram};
 use obs::{trace, Json};
 use pragma::{ArrayPartition, LoopId, PartitionKind, PragmaConfig, Unroll};
-use qor_core::{CacheStats, PredictReport, Session};
+use qor_core::{CacheStats, KindStats, PredictReport, Session};
 use search::{JobProgress, JobRunner, SearchOptions, StrategyKind};
 
 use crate::batcher::{BatchOptions, Batcher, ItemOutcome, PredictItem};
@@ -152,7 +151,6 @@ struct ServeState {
     shutdown: AtomicBool,
     requests: AtomicU64,
     predictions: AtomicU64,
-    client_errors: AtomicU64,
     /// Instance number of this server within the process.
     instance: u64,
     started: Instant,
@@ -160,9 +158,7 @@ struct ServeState {
     ///
     /// Instance-local on purpose: the `obs` registry is process-global,
     /// so a test process running several servers would cross-contaminate
-    /// registry-backed latency metrics. `/metrics` renders these;
-    /// `serve/http/*` obs mirrors exist for run reports and are skipped
-    /// by the renderer.
+    /// registry-backed latency metrics. `/metrics` renders these.
     latency: Mutex<BTreeMap<(String, &'static str), LogHistogram>>,
     /// Per-route request counters (same instance-locality argument).
     route_hits: Mutex<BTreeMap<String, u64>>,
@@ -236,7 +232,6 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
                 predictions: AtomicU64::new(0),
-                client_errors: AtomicU64::new(0),
                 instance: INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed),
                 started: Instant::now(),
                 latency: Mutex::new(BTreeMap::new()),
@@ -477,41 +472,12 @@ impl Response {
     }
 }
 
-/// Per-request telemetry the routes fill in while handling: per-stage
-/// timings, cache attribution, and flight-record labels.
-#[derive(Default)]
-struct ReqTelemetry {
-    stages: Vec<(String, u64)>,
-    attrs: Vec<(String, String)>,
-    cache_hits: u64,
-    cache_misses: u64,
-    incr: incr::KindStats,
-}
-
-impl ReqTelemetry {
-    fn absorb(&mut self, report: &PredictReport) {
-        self.cache_hits += report.cache_hits();
-        self.cache_misses += report.cache_misses();
-        self.incr.absorb(&report.incr);
-    }
-
-    fn stage(&mut self, name: &str, us: u64) {
-        self.stages.push((name.to_string(), us));
-    }
-
-    fn attr(&mut self, key: &str, value: String) {
-        self.attrs.push((key.to_string(), value));
-    }
-}
-
 fn handle_connection(mut stream: TcpStream, state: &ServeState) {
     let request = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(ParseError::Closed) => return, // shutdown poke or dropped peer
         Err(e @ (ParseError::Malformed(_) | ParseError::TooLarge(_))) => {
-            state.client_errors.fetch_add(1, Ordering::Relaxed);
             state.status_4xx.fetch_add(1, Ordering::Relaxed);
-            obs::metrics::counter_add("serve/http/4xx", 1);
             let code = if matches!(e, ParseError::TooLarge(_)) {
                 ApiCode::PayloadTooLarge
             } else {
@@ -531,7 +497,6 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
         Err(ParseError::Io(_)) => return,
     };
     let seq = state.requests.fetch_add(1, Ordering::Relaxed);
-    obs::metrics::counter_add("serve/http/requests", 1);
 
     // trace context: honor an inbound x-qor-trace header, else derive a
     // deterministic id from (server instance, request sequence)
@@ -549,13 +514,11 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
         RouteMatch::Matched { def, .. } => def.label,
         _ => "other",
     };
-    let started_us = obs::log::now_us();
-    let t0 = Instant::now();
-    let mut tel = ReqTelemetry::default();
+    // the request's unit of work: the spans the routes enter directly
+    // under it become its flight record's stages
+    let unit = obs::flight("http", &format!("{} {}", request.method, request.path));
     let response = match &matched {
-        RouteMatch::Matched { def, params } => {
-            dispatch(state, def.endpoint, params, &request, &mut tel)
-        }
+        RouteMatch::Matched { def, params } => dispatch(state, def.endpoint, params, &request),
         RouteMatch::MethodNotAllowed => Response::from_error(&ApiError::new(
             ApiCode::MethodNotAllowed,
             format!("{} is not allowed on {}", request.method, request.path),
@@ -565,52 +528,10 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) {
             format!("no route matches {}", request.path),
         )),
     };
-    let dur_us = t0.elapsed().as_micros() as u64;
-
-    observe_request(state, route_label, response.status, dur_us);
-    if response.status >= 400 {
-        state.client_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let mut flight =
-        obs::flight::FlightRecord::new("http", &format!("{} {}", request.method, request.path));
-    flight.outcome = response.status.to_string();
-    flight.start_us = started_us;
-    flight.total_us = dur_us;
-    flight.bytes_in = request.body.len() as u64;
-    flight.bytes_out = response.body.len() as u64;
-    flight.cache_hits = tel.cache_hits;
-    flight.cache_misses = tel.cache_misses;
-    flight.stages = tel.stages;
-    flight.attrs = tel.attrs;
-    if tel.incr.hits + tel.incr.misses + tel.incr.recomputes > 0 {
-        flight
-            .attrs
-            .push(("incr_hits".to_string(), tel.incr.hits.to_string()));
-        flight
-            .attrs
-            .push(("incr_misses".to_string(), tel.incr.misses.to_string()));
-        flight.attrs.push((
-            "incr_recomputes".to_string(),
-            tel.incr.recomputes.to_string(),
-        ));
-    }
-    obs::flight::record(flight);
-
-    if obs::log::enabled(Level::Info) {
-        obs::log::event(
-            Level::Info,
-            "http.request",
-            &[
-                ("route", Json::str(route_label)),
-                ("method", Json::str(&request.method)),
-                ("path", Json::str(&request.path)),
-                ("status", Json::UInt(u64::from(response.status))),
-                ("dur_us", Json::UInt(dur_us)),
-                ("bytes_out", Json::UInt(response.body.len() as u64)),
-            ],
-        );
-    }
+    unit.outcome(&response.status.to_string());
+    unit.bytes(request.body.len() as u64, response.body.len() as u64);
+    let dur = unit.finish("http.request", &[("route", Json::str(route_label))]);
+    observe_request(state, route_label, response.status, dur.as_micros() as u64);
 
     let _ = http::write_response_with(
         &mut stream,
@@ -632,7 +553,7 @@ fn status_class(status: u16) -> &'static str {
 }
 
 /// Records one finished request into the instance-local latency/status
-/// stores and their process-global obs mirrors.
+/// stores.
 fn observe_request(state: &ServeState, route: &'static str, status: u16, dur_us: u64) {
     let class = status_class(status);
     match class {
@@ -640,9 +561,6 @@ fn observe_request(state: &ServeState, route: &'static str, status: u16, dur_us:
         "4xx" => state.status_4xx.fetch_add(1, Ordering::Relaxed),
         _ => state.status_5xx.fetch_add(1, Ordering::Relaxed),
     };
-    obs::metrics::counter_add(&format!("serve/http/{class}"), 1);
-    obs::metrics::counter_add(&format!("serve/http/route/{route}"), 1);
-    obs::metrics::histogram_record(&format!("serve/http/latency_us/{route}"), dur_us as f64);
     state
         .latency
         .lock()
@@ -664,7 +582,6 @@ fn dispatch(
     endpoint: Endpoint,
     params: &[String],
     request: &Request,
-    tel: &mut ReqTelemetry,
 ) -> Response {
     let result = match endpoint {
         Endpoint::Healthz => Ok(Response::ok_json(healthz(state))),
@@ -673,7 +590,7 @@ fn dispatch(
             content_type: "text/plain; version=0.0.4",
             body: render_metrics(state),
         }),
-        Endpoint::Predict => predict_route(state, &request.body, tel).map(Response::ok_json),
+        Endpoint::Predict => predict_route(state, &request.body).map(Response::ok_json),
         Endpoint::ModelList => Ok(Response::ok_json(model_list(state))),
         Endpoint::ModelGet => state
             .registry
@@ -841,12 +758,8 @@ fn parse_body(body: &[u8]) -> Result<Json, ApiError> {
     json::parse(text).map_err(|e| ApiError::bad_request(e.to_string()))
 }
 
-fn predict_route(
-    state: &ServeState,
-    body: &[u8],
-    tel: &mut ReqTelemetry,
-) -> Result<String, ApiError> {
-    let t_decode = Instant::now();
+fn predict_route(state: &ServeState, body: &[u8]) -> Result<String, ApiError> {
+    let decode = obs::span("decode");
     let doc = parse_body(body)?;
     // a top-level "model" is the default for every item in the request
     let default_model = match json::field(&doc, "model") {
@@ -872,14 +785,14 @@ fn predict_route(
     } else {
         (vec![decode_request(&doc, default_model.as_deref())?], true)
     };
-    tel.stage("decode", t_decode.elapsed().as_micros() as u64);
+    drop(decode);
     state
         .predictions
         .fetch_add(items.len() as u64, Ordering::Relaxed);
 
     let outcomes = match (&state.batcher, state.dispatch) {
         (Some(batcher), DispatchMode::Batched(_)) => {
-            let t_batch = Instant::now();
+            let _batch = obs::span("batch");
             let req_trace = trace::current_raw();
             let items: Vec<PredictItem> = items
                 .into_iter()
@@ -888,55 +801,39 @@ fn predict_route(
                     item
                 })
                 .collect();
-            let outcomes = batcher.submit_wait(items);
-            tel.stage("batch", t_batch.elapsed().as_micros() as u64);
-            outcomes
+            batcher.submit_wait(items)
         }
-        _ => predict_direct(state, items, tel, single)?,
+        _ => predict_direct(state, items, single),
     };
 
-    for outcome in &outcomes {
-        if let Ok(report) = &outcome.result {
-            tel.absorb(report);
+    if single {
+        let outcome = &outcomes[0];
+        obs::flight::attr("model", format!("{}@{}", outcome.model, outcome.generation));
+        if outcome.batch_id != 0 {
+            obs::flight::attr("batch", outcome.batch_id);
         }
     }
+    let mut incr = KindStats::default();
+    for report in outcomes
+        .iter()
+        .filter_map(|outcome| outcome.result.as_ref().ok())
+    {
+        obs::flight::cache(report.cache_hits(), report.cache_misses());
+        incr.absorb(&report.incr);
+    }
+    incr.label_flight();
     if single {
-        let outcome = outcomes.into_iter().next().expect("one item in, one out");
-        tel.attr("model", format!("{}@{}", outcome.model, outcome.generation));
-        if outcome.batch_id != 0 {
-            tel.attr("batch", outcome.batch_id.to_string());
-        }
-        let report = outcome.result.clone()?; // a failed single predict is the request's error
-        if matches!(state.dispatch, DispatchMode::Direct) {
-            tel.stage("lower", report.lower_us);
-            tel.stage("prepare", report.prepare_us);
-            tel.stage("infer", report.infer_us);
-        }
-        let mut fields = vec![
-            ("qor", qor_json(&report.qor)),
-            ("model", outcome_model_json(&outcome)),
-        ];
-        if let Some(batch) = outcome_batch_json(&outcome) {
-            fields.push(("batch", batch));
-        }
-        fields.push(("incr", incr_json(&report.incr)));
+        let outcome = &outcomes[0];
+        // a failed single predict is the request's error
+        let report = outcome.result.as_ref().map_err(ApiError::clone)?;
+        let mut fields = item_fields(outcome, report);
         fields.push(("cache", cache_json(&state.registry.cache().stats())));
         Ok(Json::obj(fields).to_string())
     } else {
         let results: Vec<Json> = outcomes
             .iter()
             .map(|outcome| match &outcome.result {
-                Ok(report) => {
-                    let mut fields = vec![
-                        ("qor", qor_json(&report.qor)),
-                        ("model", outcome_model_json(outcome)),
-                    ];
-                    if let Some(batch) = outcome_batch_json(outcome) {
-                        fields.push(("batch", batch));
-                    }
-                    fields.push(("incr", incr_json(&report.incr)));
-                    Json::obj(fields)
-                }
+                Ok(report) => Json::obj(item_fields(outcome, report)),
                 Err(e) => Json::obj(vec![("error", e.envelope())]),
             })
             .collect();
@@ -951,80 +848,65 @@ fn predict_route(
 /// Direct dispatch: resolve each item's model and serve inline on this
 /// connection thread, fanning a multi-item request through `par::map`
 /// (the pre-batching behavior).
-fn predict_direct(
-    state: &ServeState,
-    items: Vec<PredictItem>,
-    tel: &mut ReqTelemetry,
-    single: bool,
-) -> Result<Vec<ItemOutcome>, ApiError> {
+fn predict_direct(state: &ServeState, items: Vec<PredictItem>, single: bool) -> Vec<ItemOutcome> {
     let run_one = |item: &PredictItem| -> ItemOutcome {
         let entry = match &item.model {
             Some(name) => state.registry.get(name),
             None => state.registry.default_entry(),
         };
-        match entry {
+        let (result, model, generation) = match entry {
             Ok(entry) => {
                 entry.count_prediction();
-                let session = entry.session();
-                let result = if let Some(kernel) = &item.kernel {
-                    session.predict_kernel_report(kernel, &item.cfg)
-                } else {
-                    let (top, source) = item.source.as_ref().expect("decode guarantees one");
-                    session.predict_source_report(top, source, &item.cfg)
-                };
-                ItemOutcome {
-                    result: result.map_err(ApiError::from),
-                    model: entry.name.clone(),
-                    generation: entry.generation,
-                    batch_id: 0,
-                    batch_size: 0,
-                    deduped: false,
-                }
+                (
+                    item.predict(entry.session()),
+                    entry.name.clone(),
+                    entry.generation,
+                )
             }
-            Err(e) => ItemOutcome {
-                result: Err(e),
-                model: item.model.clone().unwrap_or_default(),
-                generation: 0,
-                batch_id: 0,
-                batch_size: 0,
-                deduped: false,
-            },
+            Err(e) => (Err(e), item.model.clone().unwrap_or_default(), 0),
+        };
+        ItemOutcome {
+            result,
+            model,
+            generation,
+            batch_id: 0,
+            batch_size: 0,
+            deduped: false,
         }
     };
     if single {
-        Ok(vec![run_one(&items[0])])
+        vec![run_one(&items[0])]
     } else {
         // fan the request's own batch through the deterministic executor:
         // results come back in request order for any worker count; workers
         // adopt the request's trace so cache events stay attributable
-        let t_predict = Instant::now();
+        let _predict = obs::span("predict");
         let req_trace = trace::current_raw();
-        let outcomes = par::map("serve/predict", &items, |_, item| {
+        par::map("serve/predict", &items, |_, item| {
             let _g = trace::adopt_raw(req_trace);
             run_one(item)
-        });
-        tel.stage("predict", t_predict.elapsed().as_micros() as u64);
-        Ok(outcomes)
+        })
     }
 }
 
-fn outcome_model_json(outcome: &ItemOutcome) -> Json {
-    Json::obj(vec![
+/// The response fields of one served item; `"batch"` only when a batch
+/// served it (batch id 0 means direct dispatch).
+fn item_fields(outcome: &ItemOutcome, report: &PredictReport) -> Vec<(&'static str, Json)> {
+    let model = Json::obj(vec![
         ("name", Json::str(&outcome.model)),
         ("generation", Json::UInt(outcome.generation)),
-    ])
-}
-
-/// The `"batch"` response field; `None` under direct dispatch (batch id 0
-/// means "no batch served this").
-fn outcome_batch_json(outcome: &ItemOutcome) -> Option<Json> {
-    (outcome.batch_id != 0).then(|| {
-        Json::obj(vec![
+    ]);
+    let mut fields = vec![("qor", qor_json(&report.qor)), ("model", model)];
+    if outcome.batch_id != 0 {
+        let batch = Json::obj(vec![
             ("id", Json::UInt(outcome.batch_id)),
             ("size", Json::UInt(outcome.batch_size as u64)),
             ("deduped", Json::Bool(outcome.deduped)),
-        ])
-    })
+        ]);
+        fields.push(("batch", batch));
+    }
+    fields.push(("incr", incr_json(&report.incr)));
+    fields
 }
 
 /// Decodes one prediction item; `default_model` is the request-level
@@ -1285,131 +1167,46 @@ fn progress_json(id: &str, progress: &JobProgress) -> Json {
 fn render_metrics(state: &ServeState) -> String {
     let mut out = String::new();
     let stats = state.registry.cache().stats();
-    let mut put = |name: &str, kind: &str, value: String| {
-        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    };
-    put(
-        "qor_http_requests_total",
-        "counter",
-        state.requests.load(Ordering::Relaxed).to_string(),
-    );
-    put(
-        "qor_http_client_errors_total",
-        "counter",
-        state.client_errors.load(Ordering::Relaxed).to_string(),
-    );
-    put(
-        "qor_predictions_total",
-        "counter",
-        state.predictions.load(Ordering::Relaxed).to_string(),
-    );
-    put(
-        "qor_session_cache_hits_total",
-        "counter",
-        stats.hits.to_string(),
-    );
-    put(
-        "qor_session_cache_misses_total",
-        "counter",
-        stats.misses.to_string(),
-    );
-    put(
-        "qor_session_cache_evictions_total",
-        "counter",
-        stats.evictions.to_string(),
-    );
-    put(
-        "qor_session_kernel_hits_total",
-        "counter",
-        stats.kernel_hits.to_string(),
-    );
-    put(
-        "qor_session_kernel_misses_total",
-        "counter",
-        stats.kernel_misses.to_string(),
-    );
-    put(
-        "qor_session_inner_hits_total",
-        "counter",
-        stats.inner_hits.to_string(),
-    );
-    put(
-        "qor_session_inner_misses_total",
-        "counter",
-        stats.inner_misses.to_string(),
-    );
-    put("qor_session_cache_size", "gauge", stats.len.to_string());
-    put(
-        "qor_session_cache_capacity",
-        "gauge",
-        stats.capacity.to_string(),
-    );
-
     let dse = state.runner.stats();
-    put(
-        "qor_dse_jobs_submitted_total",
-        "counter",
-        dse.submitted.to_string(),
-    );
-    put(
-        "qor_dse_jobs_completed_total",
-        "counter",
-        dse.completed.to_string(),
-    );
-    put(
-        "qor_dse_jobs_failed_total",
-        "counter",
-        dse.failed.to_string(),
-    );
-    put(
-        "qor_dse_jobs_cancelled_total",
-        "counter",
-        dse.cancelled.to_string(),
-    );
-    put(
-        "qor_dse_evaluations_total",
-        "counter",
-        dse.evaluations.to_string(),
-    );
-    put(
-        "qor_dse_evals_per_second",
-        "gauge",
-        format_float(dse.evals_per_sec),
-    );
-
-    put(
-        "qor_http_responses_2xx_total",
-        "counter",
-        state.status_2xx.load(Ordering::Relaxed).to_string(),
-    );
-    put(
-        "qor_http_responses_4xx_total",
-        "counter",
-        state.status_4xx.load(Ordering::Relaxed).to_string(),
-    );
-    put(
-        "qor_http_responses_5xx_total",
-        "counter",
-        state.status_5xx.load(Ordering::Relaxed).to_string(),
-    );
-
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let c = |name, value: u64| (name, "counter", value.to_string());
+    let g = |name, value: f64| (name, "gauge", format_float(value));
+    let mut series = vec![
+        c("qor_http_requests_total", load(&state.requests)),
+        c("qor_predictions_total", load(&state.predictions)),
+        c("qor_session_cache_hits_total", stats.hits),
+        c("qor_session_cache_misses_total", stats.misses),
+        c("qor_session_cache_evictions_total", stats.evictions),
+        c("qor_session_kernel_hits_total", stats.kernel_hits),
+        c("qor_session_kernel_misses_total", stats.kernel_misses),
+        c("qor_session_inner_hits_total", stats.inner_hits),
+        c("qor_session_inner_misses_total", stats.inner_misses),
+        g("qor_session_cache_size", stats.len as f64),
+        g("qor_session_cache_capacity", stats.capacity as f64),
+        c("qor_dse_jobs_submitted_total", dse.submitted),
+        c("qor_dse_jobs_completed_total", dse.completed),
+        c("qor_dse_jobs_failed_total", dse.failed),
+        c("qor_dse_jobs_cancelled_total", dse.cancelled),
+        c("qor_dse_evaluations_total", dse.evaluations),
+        g("qor_dse_evals_per_second", dse.evals_per_sec),
+        c("qor_http_responses_2xx_total", load(&state.status_2xx)),
+        c("qor_http_responses_4xx_total", load(&state.status_4xx)),
+        c("qor_http_responses_5xx_total", load(&state.status_5xx)),
+    ];
     // batching-queue counters (only meaningful under batched dispatch)
     if let Some(batcher) = &state.batcher {
         let b = batcher.stats();
-        put("qor_batch_flushes_total", "counter", b.batches.to_string());
-        put(
-            "qor_batch_flush_full_total",
-            "counter",
-            b.flush_full.to_string(),
-        );
-        put(
-            "qor_batch_flush_timeout_total",
-            "counter",
-            b.flush_timeout.to_string(),
-        );
-        put("qor_batch_items_total", "counter", b.items.to_string());
-        put("qor_batch_deduped_total", "counter", b.deduped.to_string());
-        put("qor_batch_max_size", "gauge", b.max_batch_seen.to_string());
+        series.extend([
+            c("qor_batch_flushes_total", b.batches),
+            c("qor_batch_flush_full_total", b.flush_full),
+            c("qor_batch_flush_timeout_total", b.flush_timeout),
+            c("qor_batch_items_total", b.items),
+            c("qor_batch_deduped_total", b.deduped),
+            g("qor_batch_max_size", b.max_batch_seen as f64),
+        ]);
+    }
+    for (name, kind, value) in series {
+        put_one(&mut out, name, kind, &value);
     }
 
     // incremental-query counters, one labeled series per query kind (the
@@ -1500,13 +1297,8 @@ fn render_metrics(state: &ServeState) -> String {
     for (name, snap) in obs::metrics::snapshot() {
         // the session/* and incr/* counters above are authoritative; their
         // obs mirrors only move while collection is on and would shadow
-        // them — and the serve/http/* mirrors are process-global, so the
-        // instance-local stores rendered above are authoritative for this
-        // server
-        if name.starts_with("session/")
-            || name.starts_with("serve/http/")
-            || name.starts_with("incr/")
-        {
+        // them
+        if name.starts_with("session/") || name.starts_with("incr/") {
             continue;
         }
         let clean = sanitize_metric_name(&name);

@@ -198,11 +198,6 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
-    /// Mutable access to a parameter value (e.g. for custom initialization).
-    pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.entries[id.0].value
-    }
-
     /// Name the parameter was registered under.
     pub fn name(&self, id: ParamId) -> &str {
         &self.entries[id.0].name
@@ -221,11 +216,6 @@ impl ParamStore {
     /// Total number of scalar weights.
     pub fn num_scalars(&self) -> usize {
         self.entries.iter().map(|e| e.value.len()).sum()
-    }
-
-    /// Optimizer step counter (number of `adam_step` calls so far).
-    pub fn step_count(&self) -> u64 {
-        self.step
     }
 
     /// Collects the per-parameter gradients recorded on `tape` into a
